@@ -1,8 +1,8 @@
 // Write-path microbench: the halves of a pqidxd commit, measured in
 // isolation. Section 1 times snapshot publish on a 10k-tree forest --
-// full LookupEngine::Build versus the copy-on-write ApplyDelta a
-// single-edit commit performs -- and reports the speedup (the acceptance
-// bar is >= 5x; only 1 of ~16 shards recompiles). Section 2 sweeps
+// full LookupEngine::Build versus the ApplyDelta merge a single-edit
+// commit performs -- and reports the speedup (the acceptance bar is
+// >= 5x; only 1 of ~16 shards is merged, the rest are shared). Section 2 sweeps
 // PersistentForestIndex::ApplyBatch over batch size x edit size x staging
 // threads, showing how the parallel delta phase scales, plus BulkAdd
 // ingest serial vs pooled. Section 3 isolates the bucket-clustered
@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
 
   // --- Section 1: incremental vs full snapshot publish -----------------
   // The server publishes a fresh immutable lookup snapshot after every
-  // committed batch. Pre-PR that was a full Build over the whole replica;
-  // now a single-edit commit recompiles only the one shard owning the
-  // edited tree and shares the other shards with the previous epoch.
+  // committed batch. A full Build compiles the whole forest; a
+  // single-edit commit merges the edited tree's new bag into the one
+  // shard owning it and shares the other shards with the previous epoch.
   const int kForestTrees = Scaled(10000);
   const int kBagTuples = 40;
   const int kShards = 16;

@@ -82,6 +82,34 @@ void RecordQueryMetrics(const LookupEngineStats& stats, int64_t start_us) {
   }
 }
 
+// Registry cells of snapshot publication; all are registered by the
+// first Build, so they show in a server's registry before any edit.
+struct PublishMetrics {
+  Counter* builds = Metrics::Default().counter("lookup_engine.builds");
+  Histogram* build_us = Metrics::Default().histogram("lookup_engine.build_us");
+  Counter* incremental =
+      Metrics::Default().counter("lookup_engine.incremental_builds");
+  Counter* reused = Metrics::Default().counter("lookup_engine.shards_reused");
+  Counter* recompiled =
+      Metrics::Default().counter("lookup_engine.shards_recompiled");
+  Histogram* incremental_us =
+      Metrics::Default().histogram("lookup_engine.incremental_us");
+  Counter* repartitions =
+      Metrics::Default().counter("lookup_engine.repartitions");
+};
+
+PublishMetrics& publish_metrics() {
+  static PublishMetrics m;
+  return m;
+}
+
+void RecordBuild(int64_t start_us) {
+  publish_metrics().builds->Increment();
+  if (Metrics::enabled()) {
+    publish_metrics().build_us->Record(Metrics::NowUs() - start_us);
+  }
+}
+
 uint64_t MixFingerprint(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -95,6 +123,7 @@ uint64_t MixFingerprint(uint64_t x) {
 
 std::shared_ptr<const LookupEngine> LookupEngine::Build(
     const ForestIndex& forest, int num_shards) {
+  const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
   std::vector<TreeId> ids = forest.TreeIds();  // ascending
   std::vector<int64_t> sizes;
   sizes.reserve(ids.size());
@@ -106,11 +135,15 @@ std::shared_ptr<const LookupEngine> LookupEngine::Build(
       raw.push_back({fp, static_cast<int32_t>(slot), count});
     }
   }
-  return Compile(forest.shape(), ids, sizes, std::move(raw), num_shards);
+  auto engine =
+      Compile(forest.shape(), ids, sizes, std::move(raw), num_shards);
+  RecordBuild(start_us);
+  return engine;
 }
 
 std::shared_ptr<const LookupEngine> LookupEngine::Build(
     const InvertedForestIndex& inverted, int num_shards) {
+  const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
   std::vector<std::pair<TreeId, int64_t>> trees(
       inverted.tree_sizes().begin(), inverted.tree_sizes().end());
   std::sort(trees.begin(), trees.end());
@@ -132,11 +165,41 @@ std::shared_ptr<const LookupEngine> LookupEngine::Build(
       raw.push_back({fp, slot_of.at(posting.tree_id), posting.count});
     }
   }
-  return Compile(inverted.shape(), ids, sizes, std::move(raw), num_shards);
+  auto engine =
+      Compile(inverted.shape(), ids, sizes, std::move(raw), num_shards);
+  RecordBuild(start_us);
+  return engine;
+}
+
+void LookupEngine::AppendEntry(Shard* shard, int32_t slot, int64_t count) {
+  PQIDX_CHECK_MSG(count > 0, "nonpositive posting count");
+  // Counts beyond int32 are legitimate (accumulated edit deltas) but
+  // rare; spill them to the side map rather than abort a build that
+  // may be publishing a live server's next snapshot.
+  if (count <= INT32_MAX) {
+    shard->entries.push_back({slot, static_cast<int32_t>(count)});
+  } else {
+    shard->wide_counts.emplace(static_cast<uint32_t>(shard->entries.size()),
+                               count);
+    shard->entries.push_back({slot, kWideCount});
+  }
+}
+
+void LookupEngine::Seal(Shard* shard) {
+  shard->uid = g_next_shard_uid.fetch_add(1, std::memory_order_relaxed);
+  // Vector capacities plus the wide-count map's nodes and buckets.
+  shard->bytes = static_cast<int64_t>(
+      sizeof(Shard) + shard->tree_ids.capacity() * sizeof(TreeId) +
+      shard->tree_sizes.capacity() * sizeof(int64_t) +
+      shard->fps.capacity() * sizeof(PqGramFingerprint) +
+      shard->offsets.capacity() * sizeof(uint32_t) +
+      shard->entries.capacity() * sizeof(Entry) +
+      shard->wide_counts.size() * (sizeof(uint32_t) + sizeof(int64_t) +
+                                   2 * sizeof(void*)) +
+      shard->wide_counts.bucket_count() * sizeof(void*));
 }
 
 void LookupEngine::FreezeShard(Shard* shard, std::vector<RawPosting> part) {
-  shard->uid = g_next_shard_uid.fetch_add(1, std::memory_order_relaxed);
   std::sort(part.begin(), part.end(),
             [](const RawPosting& a, const RawPosting& b) {
               return a.fp < b.fp || (a.fp == b.fp && a.slot < b.slot);
@@ -147,39 +210,27 @@ void LookupEngine::FreezeShard(Shard* shard, std::vector<RawPosting> part) {
   shard->offsets.push_back(0);
   for (size_t i = 0; i < part.size(); ++i) {
     const RawPosting& p = part[i];
-    PQIDX_CHECK_MSG(p.count > 0, "nonpositive posting count");
     if (shard->fps.empty() || shard->fps.back() != p.fp) {
       if (!shard->fps.empty()) {
         shard->offsets.push_back(static_cast<uint32_t>(i));
       }
       shard->fps.push_back(p.fp);
     }
-    // Counts beyond int32 are legitimate (accumulated edit deltas) but
-    // rare; spill them to the side map rather than abort a build that
-    // may be publishing a live server's next snapshot.
-    if (p.count <= INT32_MAX) {
-      shard->entries.push_back({p.slot, static_cast<int32_t>(p.count)});
-    } else {
-      shard->wide_counts.emplace(static_cast<uint32_t>(i), p.count);
-      shard->entries.push_back({p.slot, kWideCount});
-    }
+    AppendEntry(shard, p.slot, p.count);
   }
   shard->offsets.push_back(static_cast<uint32_t>(part.size()));
   if (shard->fps.empty()) shard->offsets.assign(1, 0);
+  Seal(shard);
 }
 
 std::shared_ptr<const LookupEngine> LookupEngine::Compile(
     const PqShape& shape, const std::vector<TreeId>& tree_ids,
     const std::vector<int64_t>& tree_sizes, std::vector<RawPosting> raw,
     int num_shards) {
-  static Counter* const m_builds =
-      Metrics::Default().counter("lookup_engine.builds");
-  static Histogram* const m_build_us =
-      Metrics::Default().histogram("lookup_engine.build_us");
-  const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
   // Private constructor; the factory idiom owns the allocation directly.
   std::shared_ptr<LookupEngine> engine(new LookupEngine());
   engine->shape_ = shape;
+  engine->target_shards_ = std::max(1, num_shards);
   const int n = static_cast<int>(tree_ids.size());
   engine->num_trees_ = n;
   int shard_count = std::clamp(num_shards, 1, std::max(1, n));
@@ -224,103 +275,278 @@ std::shared_ptr<const LookupEngine> LookupEngine::Compile(
     engine->shards_[static_cast<size_t>(s)] =
         std::move(shards[static_cast<size_t>(s)]);
   }
-  m_builds->Increment();
-  if (Metrics::enabled()) {
-    m_build_us->Record(Metrics::NowUs() - start_us);
-  }
   return engine;
+}
+
+std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
+    const Shard& old, const BagUpdate* begin, const BagUpdate* end) {
+  auto shard = std::make_shared<Shard>();
+  // The next tree set in ascending id order: surviving old slots keep
+  // their relative order, so remap[] is monotone and each old posting
+  // group stays slot-ascending after renumbering. Changed trees map to
+  // -1 (their old entries drop) and contribute their new postings.
+  const size_t old_trees = old.tree_ids.size();
+  std::vector<int32_t> remap(old_trees, -1);
+  std::vector<RawPosting> fresh;
+  size_t i = 0;
+  for (const BagUpdate* u = begin; i < old_trees || u != end;) {
+    const int32_t slot = static_cast<int32_t>(shard->tree_ids.size());
+    if (u == end || (i < old_trees && old.tree_ids[i] < u->id)) {
+      remap[i] = slot;
+      shard->tree_ids.push_back(old.tree_ids[i]);
+      shard->tree_sizes.push_back(old.tree_sizes[i]);
+      ++i;
+      continue;
+    }
+    if (i < old_trees && old.tree_ids[i] == u->id) ++i;  // replaced
+    if (u->bag != nullptr) {
+      shard->tree_ids.push_back(u->id);
+      shard->tree_sizes.push_back(u->bag->size());
+      for (const auto& [fp, count] : u->bag->counts()) {
+        fresh.push_back({fp, slot, count});
+      }
+    }
+    ++u;
+  }
+  std::sort(fresh.begin(), fresh.end(),
+            [](const RawPosting& a, const RawPosting& b) {
+              return a.fp < b.fp || (a.fp == b.fp && a.slot < b.slot);
+            });
+
+  // One pass over both fingerprint-sorted sequences. Within a group the
+  // surviving old entries (renumbered) and the fresh ones are each
+  // slot-ascending, so a two-way merge by slot yields FreezeShard's
+  // (fp, slot) order. Groups left empty by the drops disappear.
+  const size_t groups = old.fps.size();
+  shard->fps.reserve(groups);
+  shard->offsets.reserve(groups + 1);
+  shard->entries.reserve(old.entries.size() + fresh.size());
+  shard->offsets.push_back(0);
+  size_t g = 0;
+  size_t f = 0;
+  while (g < groups || f < fresh.size()) {
+    const PqGramFingerprint fp =
+        (f == fresh.size() || (g < groups && old.fps[g] <= fresh[f].fp))
+            ? old.fps[g]
+            : fresh[f].fp;
+    size_t k = 0;
+    size_t k_end = 0;
+    if (g < groups && old.fps[g] == fp) {
+      k = old.offsets[g];
+      k_end = old.offsets[g + 1];
+      ++g;
+    }
+    for (;;) {
+      while (k < k_end && remap[static_cast<size_t>(old.entries[k].slot)] < 0) {
+        ++k;
+      }
+      const bool has_old = k < k_end;
+      const bool has_fresh = f < fresh.size() && fresh[f].fp == fp;
+      if (!has_old && !has_fresh) break;
+      const int32_t old_slot =
+          has_old ? remap[static_cast<size_t>(old.entries[k].slot)] : 0;
+      if (has_old && (!has_fresh || old_slot < fresh[f].slot)) {
+        const int32_t narrow = old.entries[k].count;
+        AppendEntry(shard.get(), old_slot,
+                    narrow != kWideCount ? narrow : old.EntryCount(k));
+        ++k;
+      } else {
+        AppendEntry(shard.get(), fresh[f].slot, fresh[f].count);
+        ++f;
+      }
+    }
+    if (shard->entries.size() > shard->offsets.back()) {
+      shard->fps.push_back(fp);
+      shard->offsets.push_back(static_cast<uint32_t>(shard->entries.size()));
+    }
+  }
+  PQIDX_CHECK_MSG(shard->entries.size() <= UINT32_MAX,
+                  "shard posting arena exceeds 32-bit offsets");
+  Seal(shard.get());
+  return shard;
+}
+
+std::shared_ptr<const LookupEngine> LookupEngine::Repartition() const {
+  std::vector<TreeId> ids;
+  std::vector<int64_t> sizes;
+  ids.reserve(static_cast<size_t>(num_trees_));
+  sizes.reserve(static_cast<size_t>(num_trees_));
+  std::vector<RawPosting> raw;
+  raw.reserve(static_cast<size_t>(posting_entries_));
+  // Shard tree-id ranges are disjoint and ascending, so concatenating
+  // the shards in order yields ascending global slots.
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    const int32_t base = static_cast<int32_t>(ids.size());
+    ids.insert(ids.end(), shard->tree_ids.begin(), shard->tree_ids.end());
+    sizes.insert(sizes.end(), shard->tree_sizes.begin(),
+                 shard->tree_sizes.end());
+    for (size_t g = 0; g < shard->fps.size(); ++g) {
+      for (uint32_t k = shard->offsets[g]; k < shard->offsets[g + 1]; ++k) {
+        raw.push_back({shard->fps[g], base + shard->entries[k].slot,
+                       shard->EntryCount(k)});
+      }
+    }
+  }
+  return Compile(shape_, ids, sizes, std::move(raw), target_shards_);
 }
 
 std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
     const std::shared_ptr<const LookupEngine>& prev,
     const ForestIndex& forest, const std::vector<TreeId>& changed) {
-  static Counter* const m_incremental =
-      Metrics::Default().counter("lookup_engine.incremental_builds");
-  static Counter* const m_reused =
-      Metrics::Default().counter("lookup_engine.shards_reused");
-  static Counter* const m_recompiled =
-      Metrics::Default().counter("lookup_engine.shards_recompiled");
-  static Histogram* const m_incremental_us =
-      Metrics::Default().histogram("lookup_engine.incremental_us");
   PQIDX_CHECK_MSG(prev != nullptr, "ApplyDelta needs a previous snapshot");
   PQIDX_CHECK_MSG(prev->shape_ == forest.shape(),
                   "delta forest shape does not match the snapshot");
-  if (changed.empty()) return prev;
-  if (prev->num_trees_ == 0) {
-    // No shard tree-id ranges exist yet to route the delta into.
-    return Build(forest, prev->num_shards());
-  }
+  std::vector<BagUpdate> updates;
+  updates.reserve(changed.size());
+  for (TreeId id : changed) updates.push_back({id, forest.Find(id)});
+  return ApplyDelta(prev, updates);
+}
+
+std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
+    const std::shared_ptr<const LookupEngine>& prev,
+    const std::vector<BagUpdate>& updates) {
+  PQIDX_CHECK_MSG(prev != nullptr, "ApplyDelta needs a previous snapshot");
+  if (updates.empty()) return prev;
+  PublishMetrics& metrics = publish_metrics();
   const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
-  const size_t shard_count = prev->shards_.size();
+  for (const BagUpdate& u : updates) {
+    PQIDX_CHECK_MSG(u.bag == nullptr || u.bag->shape() == prev->shape_,
+                    "delta bag shape does not match the snapshot");
+  }
+  // Ascending ids, the last update of a repeated id winning.
+  std::vector<BagUpdate> sorted = updates;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const BagUpdate& a, const BagUpdate& b) {
+                     return a.id < b.id;
+                   });
+  {
+    auto last = std::unique(sorted.rbegin(), sorted.rend(),
+                            [](const BagUpdate& a, const BagUpdate& b) {
+                              return a.id == b.id;
+                            });
+    sorted.erase(sorted.begin(), last.base());
+  }
 
   // Route every changed id to the shard whose ascending tree-id range
   // (would) contain it: the last nonempty shard whose first id <= id,
-  // else the first nonempty shard. Ranges start contiguous (Build) and
-  // this routing keeps them disjoint and ascending, so an id already in
-  // the snapshot always routes to the shard that holds it.
+  // else the first nonempty shard (shard 0 when all are empty). This
+  // keeps the ranges disjoint and ascending, so an id already in the
+  // snapshot always routes to the shard that holds it. The ids are
+  // sorted, so each shard receives one contiguous run of `sorted`.
+  const size_t shard_count = prev->shards_.size();
   std::vector<std::pair<TreeId, size_t>> firsts;
   for (size_t s = 0; s < shard_count; ++s) {
     if (!prev->shards_[s]->tree_ids.empty()) {
       firsts.emplace_back(prev->shards_[s]->tree_ids.front(), s);
     }
   }
-  std::vector<std::vector<TreeId>> incoming(shard_count);
-  for (TreeId id : changed) {
-    auto it = std::upper_bound(
-        firsts.begin(), firsts.end(),
-        std::make_pair(id, std::numeric_limits<size_t>::max()));
-    size_t s = it == firsts.begin() ? firsts.front().second
-                                    : std::prev(it)->second;
-    incoming[s].push_back(id);
+  std::vector<size_t> run_begin(shard_count + 1, sorted.size());
+  for (size_t k = sorted.size(); k-- > 0;) {
+    size_t s = 0;
+    if (!firsts.empty()) {
+      auto it = std::upper_bound(
+          firsts.begin(), firsts.end(),
+          std::make_pair(sorted[k].id, std::numeric_limits<size_t>::max()));
+      s = it == firsts.begin() ? firsts.front().second
+                               : std::prev(it)->second;
+    }
+    run_begin[s] = k;
+  }
+  // Shards that received no run start where the next run does.
+  for (size_t s = shard_count; s-- > 0;) {
+    run_begin[s] = std::min(run_begin[s], run_begin[s + 1]);
   }
 
   std::shared_ptr<LookupEngine> engine(new LookupEngine());
   engine->shape_ = prev->shape_;
+  engine->target_shards_ = prev->target_shards_;
   engine->shards_.resize(shard_count);
   int64_t trees = 0;
   int64_t postings = 0;
   for (size_t s = 0; s < shard_count; ++s) {
-    if (incoming[s].empty()) {
+    if (run_begin[s] == run_begin[s + 1]) {
       // Untouched: share the frozen arena with the previous epoch.
       engine->shards_[s] = prev->shards_[s];
-      trees += static_cast<int64_t>(engine->shards_[s]->tree_ids.size());
-      postings += static_cast<int64_t>(engine->shards_[s]->entries.size());
-      m_reused->Increment();
-      continue;
+      metrics.reused->Increment();
+    } else {
+      engine->shards_[s] =
+          MergeShard(*prev->shards_[s], sorted.data() + run_begin[s],
+                     sorted.data() + run_begin[s + 1]);
+      metrics.recompiled->Increment();
     }
-    // Dirty: recompile from the forest. The shard's new tree set is the
-    // union of its previous ids and the changed ids routed here; any of
-    // them absent from the forest is a removal.
-    const Shard& old = *prev->shards_[s];
-    std::vector<TreeId> ids = old.tree_ids;
-    ids.insert(ids.end(), incoming[s].begin(), incoming[s].end());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    auto shard = std::make_shared<Shard>();
-    std::vector<RawPosting> part;
-    for (TreeId id : ids) {
-      const PqGramIndex* bag = forest.Find(id);
-      if (bag == nullptr) continue;  // removed
-      const int32_t slot = static_cast<int32_t>(shard->tree_ids.size());
-      shard->tree_ids.push_back(id);
-      shard->tree_sizes.push_back(bag->size());
-      for (const auto& [fp, count] : bag->counts()) {
-        part.push_back({fp, slot, count});
-      }
-    }
-    trees += static_cast<int64_t>(shard->tree_ids.size());
-    postings += static_cast<int64_t>(part.size());
-    FreezeShard(shard.get(), std::move(part));
-    engine->shards_[s] = std::move(shard);
-    m_recompiled->Increment();
+    trees += static_cast<int64_t>(engine->shards_[s]->tree_ids.size());
+    postings += static_cast<int64_t>(engine->shards_[s]->entries.size());
   }
   engine->num_trees_ = static_cast<int>(trees);
   engine->posting_entries_ = postings;
-  m_incremental->Increment();
-  if (Metrics::enabled()) {
-    m_incremental_us->Record(Metrics::NowUs() - start_us);
+  metrics.incremental->Increment();
+
+  // Routing sends inserts to existing ranges (every id above the last
+  // range lands in the last shard), so keep each shard within twice
+  // its fair share of ceil(n / target) trees.
+  const int64_t fair =
+      (trees + engine->target_shards_ - 1) / engine->target_shards_;
+  std::shared_ptr<const LookupEngine> next = engine;
+  for (const std::shared_ptr<const Shard>& shard : engine->shards_) {
+    if (static_cast<int64_t>(shard->tree_ids.size()) > 2 * fair) {
+      next = engine->Repartition();
+      metrics.repartitions->Increment();
+      break;
+    }
   }
-  return engine;
+  if (Metrics::enabled()) {
+    metrics.incremental_us->Record(Metrics::NowUs() - start_us);
+  }
+  return next;
+}
+
+std::vector<int> LookupEngine::ShardSizes() const {
+  std::vector<int> sizes;
+  sizes.reserve(shards_.size());
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    sizes.push_back(static_cast<int>(shard->tree_ids.size()));
+  }
+  return sizes;
+}
+
+int64_t LookupEngine::ResidentBytes() const {
+  int64_t bytes = static_cast<int64_t>(
+      sizeof(LookupEngine) +
+      shards_.capacity() * sizeof(std::shared_ptr<const Shard>));
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    bytes += shard->bytes;
+  }
+  return bytes;
+}
+
+bool LookupEngine::ShardMatchesFreezeForTesting(
+    int s, const ForestIndex& forest) const {
+  const Shard& shard = *shards_.at(static_cast<size_t>(s));
+  Shard fresh;
+  std::vector<RawPosting> part;
+  for (TreeId id : shard.tree_ids) {
+    const PqGramIndex* bag = forest.Find(id);
+    if (bag == nullptr) return false;
+    const int32_t slot = static_cast<int32_t>(fresh.tree_ids.size());
+    fresh.tree_ids.push_back(id);
+    fresh.tree_sizes.push_back(bag->size());
+    for (const auto& [fp, count] : bag->counts()) {
+      part.push_back({fp, slot, count});
+    }
+  }
+  FreezeShard(&fresh, std::move(part));
+  auto same_entries = [](const std::vector<Entry>& a,
+                         const std::vector<Entry>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Entry& x, const Entry& y) {
+                        return x.slot == y.slot && x.count == y.count;
+                      });
+  };
+  return shard.tree_ids == fresh.tree_ids &&
+         shard.tree_sizes == fresh.tree_sizes && shard.fps == fresh.fps &&
+         shard.offsets == fresh.offsets &&
+         same_entries(shard.entries, fresh.entries) &&
+         shard.wide_counts == fresh.wide_counts;
 }
 
 std::vector<uint64_t> LookupEngine::ShardUids() const {

@@ -39,11 +39,18 @@
 //
 // Snapshots are maintained the same way the paper maintains the index
 // itself (Lemma 2: In = I0 \ lambda(Delta-) |+| lambda(Delta+)):
-// ApplyDelta derives the next snapshot from the previous one by
-// copy-on-write -- only the shards whose tree-id range owns a changed
-// tree are recompiled into fresh arenas, every untouched shard is shared
-// with the previous epoch through its shared_ptr -- so publishing a
-// commit of k edits costs O(shards touched by k), not O(total postings).
+// ApplyDelta derives the next snapshot from the previous one and the
+// changed trees' next bags. Every untouched shard is shared with the
+// previous epoch through its shared_ptr; each shard owning a changed
+// tree is rebuilt by one linear merge of its previous arena (minus the
+// changed trees' entries) with the changed trees' new postings. A
+// commit of k edits therefore costs O(postings of the shards touched +
+// k log k) and never reads the rest of the forest.
+//
+// The engine keeps the shard count it was built with. Routing new trees
+// into existing tree-id ranges can unbalance the shards, so a publish
+// that leaves one shard with more than twice its fair share of trees
+// (ceil(n / shards)) re-partitions the snapshot from its own arenas.
 
 #ifndef PQIDX_CORE_LOOKUP_ENGINE_H_
 #define PQIDX_CORE_LOOKUP_ENGINE_H_
@@ -88,15 +95,28 @@ class LookupEngine {
   static std::shared_ptr<const LookupEngine> Build(
       const InvertedForestIndex& inverted, int num_shards = 1);
 
-  // Derives the next snapshot from `prev` by copy-on-write. `changed`
-  // lists every tree id whose bag differs between the snapshot and
-  // `forest` (Lemma 2's lambda(Delta+) and lambda(Delta-)): an id
-  // present in `forest` is an insert or update, an id absent from it is
-  // a removal. Only the shards owning a changed id are recompiled from
-  // `forest`; every other shard is shared with `prev`. The caller must
-  // list every differing id -- an unlisted change would be silently
-  // missed in a shared shard. Falls back to a full Build when `prev` is
-  // empty (there are no shard ranges to route into).
+  // One changed tree for ApplyDelta: its next bag, or null when the
+  // tree is removed. The bag is only read during the call.
+  struct BagUpdate {
+    TreeId id;
+    const PqGramIndex* bag;
+  };
+
+  // Derives the next snapshot from `prev` (Lemma 2's lambda(Delta+) and
+  // lambda(Delta-)): an update with a bag inserts or replaces that tree,
+  // one without removes it (removing an absent id is a no-op). When an
+  // id repeats, its last update wins. Only the shards owning a changed
+  // id are merged into fresh arenas; every other shard is shared with
+  // `prev`. An empty `updates` returns `prev` itself.
+  static std::shared_ptr<const LookupEngine> ApplyDelta(
+      const std::shared_ptr<const LookupEngine>& prev,
+      const std::vector<BagUpdate>& updates);
+
+  // The same, reading the next bags from `forest`: `changed` lists every
+  // tree id whose bag differs between the snapshot and `forest`; an id
+  // absent from `forest` is a removal. Only the changed ids are looked
+  // up. The caller must list every differing id -- an unlisted change
+  // would be silently missed in a shared shard.
   static std::shared_ptr<const LookupEngine> ApplyDelta(
       const std::shared_ptr<const LookupEngine>& prev,
       const ForestIndex& forest, const std::vector<TreeId>& changed);
@@ -106,9 +126,22 @@ class LookupEngine {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int64_t posting_entries() const { return posting_entries_; }
 
+  // Trees per shard, in shard order.
+  std::vector<int> ShardSizes() const;
+
+  // Heap bytes held by this snapshot's shards (arenas, slot tables and
+  // wide-count maps). A shard shared with another epoch is counted in
+  // both snapshots' totals.
+  int64_t ResidentBytes() const;
+
+  // Testing hook: true when shard `s` equals, field for field (uid
+  // aside), the shard a from-scratch freeze compiles out of `forest`'s
+  // bags for the same tree ids.
+  bool ShardMatchesFreezeForTesting(int s, const ForestIndex& forest) const;
+
   // The process-unique ids of this snapshot's shards, in shard order.
   // A shard shared with a previous epoch (ApplyDelta copy-on-write)
-  // keeps its uid; a recompiled or freshly built shard gets a new one.
+  // keeps its uid; a merged or freshly built shard gets a new one.
   // QueryCache keys embed these, which is the whole epoch protocol.
   std::vector<uint64_t> ShardUids() const;
 
@@ -157,6 +190,7 @@ class LookupEngine {
     // Process-unique id minted at freeze time, never reused. Shards
     // shared across epochs keep theirs; see ShardUids().
     uint64_t uid = 0;
+    int64_t bytes = 0;                        // ResidentBytes share
     std::vector<TreeId> tree_ids;             // slot -> tree id (ascending)
     std::vector<int64_t> tree_sizes;          // slot -> |I(T)|
     std::vector<PqGramFingerprint> fps;       // sorted ascending
@@ -190,6 +224,9 @@ class LookupEngine {
 
   LookupEngine() = default;
 
+  // Splits global-slot postings into `num_shards` (clamped to
+  // [1, max(1, #trees)]) contiguous slot ranges and freezes each;
+  // `target_shards_` keeps `num_shards` as requested.
   static std::shared_ptr<const LookupEngine> Compile(
       const PqShape& shape, const std::vector<TreeId>& tree_ids,
       const std::vector<int64_t>& tree_sizes, std::vector<RawPosting> raw,
@@ -199,6 +236,26 @@ class LookupEngine {
   // (sorts by (fp, slot), builds fps/offsets/entries with the wide-count
   // spill). tree_ids/tree_sizes must already be filled in.
   static void FreezeShard(Shard* shard, std::vector<RawPosting> part);
+
+  // The next version of `old` with `updates` (ascending unique ids, all
+  // routed to this shard) applied: one pass over the old arena in
+  // (fp, slot) order that drops the changed trees' entries, renumbers
+  // the surviving slots, and splices in the new bags' postings. The
+  // result equals FreezeShard of the same tree set, wide counts included.
+  static std::shared_ptr<Shard> MergeShard(const Shard& old,
+                                           const BagUpdate* begin,
+                                           const BagUpdate* end);
+
+  // Appends one arena entry, spilling counts beyond int32 to the
+  // wide-count side map.
+  static void AppendEntry(Shard* shard, int32_t slot, int64_t count);
+
+  // Sets shard->uid and shard->bytes once its arena is final.
+  static void Seal(Shard* shard);
+
+  // Rebuilds this snapshot into target_shards_ balanced shards from its
+  // own arenas (no forest access).
+  std::shared_ptr<const LookupEngine> Repartition() const;
 
   static std::vector<QueryTuple> QueryTuples(const PqGramIndex& query);
 
@@ -225,6 +282,9 @@ class LookupEngine {
                       LookupEngineStats* stats) const;
 
   PqShape shape_;
+  // The shard count the engine was built with (before clamping to the
+  // tree count); re-partitions aim for it.
+  int target_shards_ = 1;
   int num_trees_ = 0;
   int64_t posting_entries_ = 0;
   // Shards are individually refcounted so ApplyDelta can share the

@@ -1,6 +1,7 @@
 #include "core/query_cache.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/metrics.h"
 
@@ -78,15 +79,14 @@ void QueryCache::Put(const QueryFingerprint& fp, uint64_t uid,
     if (shard.map.find(key) != shard.map.end()) return;
     while (shard.bytes + entry_bytes > shard_budget_ &&
            !shard.lru.empty()) {
-      const Entry& victim = shard.lru.back();
-      shard.bytes -= victim.bytes;
-      delta_bytes -= static_cast<int64_t>(victim.bytes);
-      shard.map.erase(victim.key);
-      shard.lru.pop_back();
+      delta_bytes -= static_cast<int64_t>(
+          EraseEntry(&shard, std::prev(shard.lru.end())));
       ++evicted;
       --delta_entries;
     }
-    shard.lru.push_front(Entry{key, results, entry_bytes});
+    std::list<Key>& chain = shard.by_uid[uid];
+    chain.push_front(key);
+    shard.lru.push_front(Entry{key, results, entry_bytes, chain.begin()});
     shard.map.emplace(key, shard.lru.begin());
     shard.bytes += entry_bytes;
     delta_bytes += static_cast<int64_t>(entry_bytes);
@@ -102,23 +102,45 @@ void QueryCache::Put(const QueryFingerprint& fp, uint64_t uid,
   }
 }
 
+size_t QueryCache::EraseEntry(Shard* shard,
+                              std::list<Entry>::iterator it) {
+  const size_t bytes = it->bytes;
+  auto chain = shard->by_uid.find(it->key.uid);
+  chain->second.erase(it->chain_pos);
+  if (chain->second.empty()) shard->by_uid.erase(chain);
+  shard->map.erase(it->key);
+  shard->lru.erase(it);
+  shard->bytes -= bytes;
+  return bytes;
+}
+
 void QueryCache::OnPublish(const std::vector<uint64_t>& live_uids) {
   std::vector<uint64_t> live = live_uids;
   std::sort(live.begin(), live.end());
   int64_t dropped = 0;
   int64_t delta_bytes = 0;
+  std::vector<uint64_t> dead;
   for (Shard& shard : shards_) {
     MutexLock lock(&shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (std::binary_search(live.begin(), live.end(), it->key.uid)) {
-        ++it;
-        continue;
+    // The chains present are the live uids cached here plus the dead
+    // ones, each of which still owns at least one entry.
+    dead.clear();
+    for (const auto& [uid, chain] : shard.by_uid) {
+      if (!std::binary_search(live.begin(), live.end(), uid)) {
+        dead.push_back(uid);
       }
-      shard.bytes -= it->bytes;
-      delta_bytes -= static_cast<int64_t>(it->bytes);
-      shard.map.erase(it->key);
-      it = shard.lru.erase(it);
-      ++dropped;
+    }
+    for (uint64_t uid : dead) {
+      auto chain = shard.by_uid.find(uid);
+      for (const Key& key : chain->second) {
+        auto it = shard.map.find(key);
+        delta_bytes -= static_cast<int64_t>(it->second->bytes);
+        shard.bytes -= it->second->bytes;
+        shard.lru.erase(it->second);
+        shard.map.erase(it);
+        ++dropped;
+      }
+      shard.by_uid.erase(chain);
     }
   }
   if (dropped > 0) {

@@ -2,24 +2,26 @@
 //
 // Caches per-(query, engine-shard) partial results so repeated queries
 // skip scoring entirely. The granularity is deliberate: LookupEngine
-// snapshots evolve by copy-on-write (`ApplyDelta` recompiles only the
+// snapshots evolve by copy-on-write (`ApplyDelta` rebuilds only the
 // shards a commit touched and shares every other shard with the
-// previous epoch), and each compiled shard carries a process-unique id
+// previous epoch), and each frozen shard carries a process-unique id
 // (`uid`) minted at freeze time. Cache keys embed that uid, so the
 // epoch protocol falls out of the snapshot lifecycle with no
 // invalidation hooks on the hot path:
 //
 //   * an incremental publish keeps every untouched shard's uid alive --
 //     entries for those shards stay warm and keep hitting;
-//   * a recompiled shard gets a fresh uid -- entries for its
+//   * a rebuilt shard gets a fresh uid -- entries for its
 //     predecessor can never match again (uids are never reused, so
 //     there is no ABA across epochs);
-//   * a full rebuild mints all-new uids -- the whole cache goes cold
-//     wholesale.
+//   * a re-partition (or a fresh Build) mints all-new uids -- the
+//     whole cache goes cold wholesale.
 //
 // Dead entries are reclaimed by OnPublish(live_uids): the publisher
 // passes the new snapshot's uid set and the cache drops (and counts as
-// stale) everything outside it. Reclamation is an optimization only;
+// stale) everything outside it. Each internal shard chains its entries
+// per uid, so a publish costs O(live uids + entries of dead uids), not
+// a walk over the whole cache. Reclamation is an optimization only;
 // correctness needs nothing beyond the uid match.
 //
 // The cache is sharded by key hash: each internal shard is an
@@ -80,8 +82,8 @@ class QueryCache {
 
   // Reclaims entries whose shard uid is not in `live_uids` (ascending
   // order not required), counting them as stale. Publishers call this
-  // after swapping in a snapshot; a full rebuild's all-new uid set
-  // empties the cache wholesale.
+  // after swapping in a snapshot; an all-new uid set empties the cache
+  // wholesale. Live entries keep their LRU positions.
   void OnPublish(const std::vector<uint64_t>& live_uids);
 
   // Drops everything (counted as stale).
@@ -125,13 +127,19 @@ class QueryCache {
     Key key;
     std::vector<LookupResult> results;
     size_t bytes = 0;
+    // This entry's node in its uid's chain (Shard::by_uid).
+    std::list<Key>::iterator chain_pos;
   };
 
   // One independently locked LRU map. list front = most recent.
+  // by_uid chains the keys of each uid present, which is what lets
+  // OnPublish visit only dead entries.
   struct Shard {
     Mutex mutex;
     std::list<Entry> lru PQIDX_GUARDED_BY(mutex);
     std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map
+        PQIDX_GUARDED_BY(mutex);
+    std::unordered_map<uint64_t, std::list<Key>> by_uid
         PQIDX_GUARDED_BY(mutex);
     size_t bytes PQIDX_GUARDED_BY(mutex) = 0;
   };
@@ -140,6 +148,10 @@ class QueryCache {
 
   static size_t EntryBytes(const std::vector<LookupResult>& results);
   Shard& ShardFor(const Key& key);
+  // Unlinks `it` from the LRU list, the key map and its uid chain;
+  // returns its byte charge.
+  static size_t EraseEntry(Shard* shard, std::list<Entry>::iterator it)
+      PQIDX_REQUIRES(shard->mutex);
 
   const size_t max_bytes_;
   const size_t shard_budget_;

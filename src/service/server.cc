@@ -58,7 +58,6 @@ Server::Server(ShardedStore* index, ServerOptions options)
   PQIDX_CHECK(options_.lookup_threads >= 0);
   PQIDX_CHECK(options_.lookup_shards >= 0);
   PQIDX_CHECK(options_.commit_pipeline_depth >= 1);
-  PQIDX_CHECK(options_.snapshot_full_rebuild_every >= 0);
   PQIDX_CHECK(options_.staging_threads >= 0);
   Metrics& metrics = Metrics::Default();
   PQIDX_CHECK(options_.replication_history >= 0);
@@ -73,7 +72,8 @@ Server::Server(ShardedStore* index, ServerOptions options)
   m_rebuild_us_ = metrics.histogram("server.snapshot_rebuild_us");
   m_snapshot_incremental_us_ =
       metrics.histogram("server.snapshot_incremental_us");
-  m_snapshot_full_us_ = metrics.histogram("server.snapshot_full_us");
+  m_engine_bytes_ = metrics.gauge("server.resident_bytes.engine");
+  m_query_cache_bytes_ = metrics.gauge("server.resident_bytes.query_cache");
   m_pipeline_depth_ = metrics.gauge("server.pipeline_depth");
   m_queue_depth_ = metrics.gauge("server.write_queue_depth");
   m_active_connections_ = metrics.gauge("server.active_connections");
@@ -112,6 +112,21 @@ Status Server::Start(std::unique_ptr<Listener> listener) {
   // would re-snapshot forever. Deterministic across leader restarts
   // (the first commit durably advances the cursor past 1).
   if (cursor_base_ == 0 && replica->size() > 0) cursor_base_ = 1;
+  // Epoch 1, the initial snapshot, compiles from the materialized
+  // forest before it becomes the replica; every later epoch is merged
+  // from the previous one and a batch's bags (PublishEngine).
+  const int64_t build_start_us = Metrics::NowUs();
+  int shards = options_.lookup_shards;
+  if (shards == 0) {
+    // A one-shard snapshot would make every incremental publish rewrite
+    // the whole forest (the lone shard owns every tree), so the default
+    // keeps enough shards for copy-on-write sharing even without lookup
+    // threads. Build() clamps to the tree count for tiny forests; the
+    // engine grows back toward this count as trees arrive.
+    shards = std::max(16, options_.lookup_threads * 2);
+  }
+  std::shared_ptr<const LookupEngine> initial =
+      LookupEngine::Build(*replica, shards);
   {
     // No handler threads exist yet; the lock satisfies the analysis and
     // costs one uncontended acquire.
@@ -133,7 +148,7 @@ Status Server::Start(std::unique_ptr<Listener> listener) {
     hub_ = std::make_unique<ReplicationHub>(hub_options);
     hub_->Initialize(cursor_base_);
   }
-  PublishEngine({});  // epoch 1: the initial snapshot of the store
+  InstallEngine(std::move(initial), Metrics::NowUs() - build_start_us);
   if (listener != nullptr) {
     listener_ = std::move(listener);
     pool_ = std::make_unique<ThreadPool>(options_.max_connections);
@@ -147,50 +162,37 @@ std::shared_ptr<const LookupEngine> Server::EngineSnapshot() const {
   return engine_;
 }
 
-void Server::PublishEngine(const std::vector<TreeId>& changed) {
-  const auto start = std::chrono::steady_clock::now();
-  int shards = options_.lookup_shards;
-  if (shards == 0) {
-    // A one-shard snapshot would make every incremental publish a full
-    // recompile (the lone shard owns every tree), so the default keeps
-    // enough shards for copy-on-write sharing even without lookup
-    // threads. Build() clamps to the tree count for tiny forests.
-    shards = std::max(16, options_.lookup_threads * 2);
-  }
-  std::shared_ptr<const LookupEngine> prev = EngineSnapshot();
-  // Full builds: the initial snapshot, and every Nth publish thereafter
-  // (cadence 1 rebuilds every time; 0 never after the first). Everything
-  // in between derives the next epoch from the previous one by
-  // copy-on-write, recompiling only the shards owning changed trees.
-  bool full = prev == nullptr || changed.empty();
-  if (!full && options_.snapshot_full_rebuild_every > 0 &&
-      publishes_since_full_ + 1 >= options_.snapshot_full_rebuild_every) {
-    full = true;
-  }
-  const ForestIndex& replica = replica_for_publish();
+void Server::PublishEngine(const std::map<TreeId, PqGramIndex>& bags) {
+  const int64_t start_us = Metrics::NowUs();
+  std::vector<LookupEngine::BagUpdate> updates;
+  updates.reserve(bags.size());
+  for (const auto& [id, bag] : bags) updates.push_back({id, &bag});
   std::shared_ptr<const LookupEngine> next =
-      full ? LookupEngine::Build(replica, shards)
-           : LookupEngine::ApplyDelta(prev, replica, changed);
-  publishes_since_full_ = full ? 0 : publishes_since_full_ + 1;
-  const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+      LookupEngine::ApplyDelta(EngineSnapshot(), updates);
+  const int64_t us = Metrics::NowUs() - start_us;
+  if (Metrics::enabled()) m_snapshot_incremental_us_->Record(us);
+  InstallEngine(std::move(next), us);
+}
+
+void Server::InstallEngine(std::shared_ptr<const LookupEngine> next,
+                           int64_t us) {
+  const std::vector<uint64_t> uids = next->ShardUids();
+  m_engine_bytes_->Set(next->ResidentBytes());
   {
     MutexLock lock(&engine_mutex_);
-    engine_ = next;
+    engine_ = std::move(next);
   }
-  // Reconcile the result cache with the new epoch's shard set: entries
-  // for shards the publish recompiled (or, on a full build, all of
-  // them) are dead by uid and reclaimed here; shared shards stay warm.
-  if (query_cache_ != nullptr) query_cache_->OnPublish(next->ShardUids());
+  // Reclaim the result-cache entries of shards the publish replaced;
+  // shared shards stay warm.
+  if (query_cache_ != nullptr) {
+    query_cache_->OnPublish(uids);
+    m_query_cache_bytes_->Set(query_cache_->bytes());
+  }
   snapshot_epoch_.fetch_add(1);
   last_rebuild_us_.store(us);
   snapshot_rebuild_us_.fetch_add(us);
   m_snapshot_epoch_->Set(snapshot_epoch_.load());
-  if (Metrics::enabled()) {
-    m_rebuild_us_->Record(us);
-    (full ? m_snapshot_full_us_ : m_snapshot_incremental_us_)->Record(us);
-  }
+  if (Metrics::enabled()) m_rebuild_us_->Record(us);
 }
 
 void Server::Stop() {
@@ -511,6 +513,10 @@ std::string Server::HandleStatsSnapshot(std::string_view payload) {
     return StatusPayload(
         InvalidArgumentError("stats snapshot request carries a payload"));
   }
+  // The cache's bytes move on every insert, not just at publishes.
+  if (query_cache_ != nullptr) {
+    m_query_cache_bytes_->Set(query_cache_->bytes());
+  }
   ByteWriter writer;
   EncodeStatus(Status::Ok(), &writer);
   EncodeMetricsSnapshot(Metrics::Default().Snapshot(), &writer);
@@ -764,12 +770,14 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
       if (results[j].ok()) ++applied;
     }
     if (committed.ok() && applied > 0) {
-      std::vector<TreeId> changed;
-      changed.reserve(staged.scratch.size());
+      // Publish the batch to readers: merge its next bags into the next
+      // snapshot epoch and swap it in. This reads only `staged` (never
+      // replica_), so it runs with no index lock held, and INSIDE the
+      // storage turn so epochs advance in ticket order.
+      PublishEngine(staged.scratch);
       {
         WriterLock lock(&index_mutex_);
         for (auto& [id, bag] : staged.scratch) {
-          changed.push_back(id);
           replica_.AddIndex(id, std::move(bag));
           // Retire our overlay entries; a successor batch may already
           // have replaced one with its own further-composed bag, in
@@ -784,11 +792,6 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
         // gets this frame from the hub -- never neither.
         replica_ticket_ = cursor;
       }
-      // Publish the batch to readers: swap in the next snapshot epoch.
-      // This runs OUTSIDE index_mutex_ (it only reads replica_, and
-      // storage turns are the sole replica_ mutators, strictly ordered)
-      // but INSIDE the storage turn so epochs advance in ticket order.
-      PublishEngine(changed);
       // Fan out to followers, also inside the storage turn so the hub
       // sees strictly increasing tickets. Publish never blocks on a
       // subscriber (bounded queues + drop policy), so this adds only

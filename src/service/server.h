@@ -14,9 +14,9 @@
 //     snapshot (core/lookup_engine.h): readers grab the current
 //     shared_ptr<const LookupEngine> and score without touching
 //     index_mutex_, so read throughput scales with reader threads. The
-//     group-commit leader compiles a fresh snapshot from the mutable
-//     ForestIndex replica after each batch and atomically swaps it in
-//     (the replica itself is only read by the write path's validation);
+//     group-commit leader derives the next snapshot from the previous
+//     one and the batch's next bags and atomically swaps it in (the
+//     ForestIndex replica is only read by the write path's validation);
 //   * writes go through group commit: a writer enqueues its edit and the
 //     first free writer becomes a batch leader, drains the queue, and
 //     applies the whole batch as ONE WAL transaction
@@ -38,9 +38,8 @@
 //     pending bags abort with an error before touching the store;
 //   * snapshots are published incrementally: the leader derives the next
 //     LookupEngine epoch from the previous one via
-//     LookupEngine::ApplyDelta (copy-on-write: only shards owning
-//     touched trees recompile), with a full Build every
-//     `snapshot_full_rebuild_every` publishes as defragmentation.
+//     LookupEngine::ApplyDelta, merging the batch's bags into the shards
+//     owning touched trees and sharing every other shard.
 //
 // Responses are sent only after the edit is durable (commit before ack).
 // Invalid edits (unknown tree, duplicate add, minus bag not a sub-bag of
@@ -97,7 +96,7 @@ struct ServerOptions {
   int64_t slow_op_us = 0;
   // Shards the lookup snapshot is compiled into; 0 derives a default:
   // at least 16 (so incremental publication has shards to share; a
-  // single-shard snapshot would recompile everything on every commit),
+  // single-shard snapshot would rewrite everything on every commit),
   // or 2x lookup_threads when that is larger. Results never depend on
   // the shard count.
   //
@@ -105,22 +104,14 @@ struct ServerOptions {
   // index_mutex_, so concurrent lookups and stats() never wait on it):
   // a committed edit is always visible to the next lookup once its
   // response arrives (read-your-writes). Incremental publication
-  // (LookupEngine::ApplyDelta) makes that cost O(shards touched by the
-  // batch) instead of O(total postings).
+  // (LookupEngine::ApplyDelta) makes that cost a linear merge of the
+  // shards the batch touched instead of O(total postings).
   int lookup_shards = 0;
   // How many group-commit batches may be in flight at once (>= 1).
   // 1 is the classic serial leader. At depth d, batch N+1's validation
   // and δ-materialization overlap batch N's WAL write + fsync; the WAL
   // transactions themselves stay strictly ordered.
   int commit_pipeline_depth = 1;
-  // Publish a full LookupEngine::Build every N snapshot publishes,
-  // deriving the ones in between incrementally from the previous epoch
-  // (copy-on-write shard reuse). 1 rebuilds fully every time (the
-  // pre-incremental behavior); 0 never rebuilds fully after the initial
-  // snapshot. The periodic full build re-balances shard tree ranges
-  // that incremental routing slowly skews and doubles as a validation /
-  // defragmentation pass.
-  int snapshot_full_rebuild_every = 64;
   // Dedicated threads for the write path's parallel work: per-tree
   // validation + δ-materialization during group commit, and the
   // flatten/hash/merge half of PersistentForestIndex::ApplyBatch's
@@ -143,7 +134,7 @@ struct ServerOptions {
   // Byte budget (MiB) of the epoch-keyed query-result cache serving
   // kLookup / kTopK (core/query_cache.h). Entries are keyed per engine
   // shard, so incremental snapshot publishes keep results for untouched
-  // shards warm; full rebuilds invalidate wholesale. 0 (or
+  // shards warm; a re-partition invalidates wholesale. 0 (or
   // query_cache_off) disables the cache entirely.
   int query_cache_mb = 32;
   bool query_cache_off = false;
@@ -249,8 +240,8 @@ class Server {
   // Runs one batch through the pipeline: awaits the validate turn for
   // `ticket`, validates + materializes (ValidateBatch), then awaits the
   // storage turn, commits the WAL transaction (durably stamped with
-  // `cursor`, the replication cursor), applies the replica delta,
-  // publishes the next snapshot epoch, and hands the batch's delta
+  // `cursor`, the replication cursor), publishes the next snapshot
+  // epoch, applies the replica delta, and hands the batch's delta
   // frame to the hub.
   void CommitBatch(const std::vector<PendingEdit*>& batch, uint64_t ticket,
                    uint64_t cursor)
@@ -281,26 +272,16 @@ class Server {
   // The current lookup snapshot (never null after Start()).
   std::shared_ptr<const LookupEngine> EngineSnapshot() const
       PQIDX_EXCLUDES(engine_mutex_);
-  // Publishes the next snapshot epoch: derived incrementally from the
-  // previous one for the trees in `changed`, or compiled from scratch
-  // when `changed` is empty / the full-rebuild cadence is due. Takes no
-  // lock on replica_ (see replica_for_publish): the caller must be the
-  // sole thread mutating it for the duration (true in Start(), before
-  // handlers exist, and for the storage-turn holder until it finishes
-  // its turn).
-  void PublishEngine(const std::vector<TreeId>& changed)
-      PQIDX_EXCLUDES(index_mutex_, engine_mutex_);
-
-  // no-tsa: replica_ is guarded by index_mutex_, but PublishEngine
-  // compiles snapshots from it with no lock held -- its caller is the
-  // storage-turn holder (or Start before handlers exist), the only
-  // thread that may mutate replica_, and taking even the shared lock
-  // for the O(postings) build would block successor batches' validation
-  // and defeat the commit pipeline.
-  const ForestIndex& replica_for_publish() const
-      PQIDX_NO_THREAD_SAFETY_ANALYSIS {
-    return replica_;
-  }
+  // Publishes the next snapshot epoch, merged from the previous one and
+  // `bags` (a committed batch's next bag per touched tree). Reads no
+  // server state but the current snapshot; the storage-turn holder
+  // calls it so epochs advance in ticket order.
+  void PublishEngine(const std::map<TreeId, PqGramIndex>& bags)
+      PQIDX_EXCLUDES(engine_mutex_);
+  // Swaps in `next` (compiled in `us` microseconds), reclaims the dead
+  // result-cache entries, and updates the epoch counters and gauges.
+  void InstallEngine(std::shared_ptr<const LookupEngine> next, int64_t us)
+      PQIDX_EXCLUDES(engine_mutex_);
 
   ShardedStore* const index_;
   const ServerOptions options_;
@@ -339,15 +320,12 @@ class Server {
   mutable Mutex engine_mutex_;
   std::shared_ptr<const LookupEngine> engine_ PQIDX_GUARDED_BY(engine_mutex_);
   // Epoch-keyed result cache for kLookup / kTopK (null when disabled).
-  // Internally synchronized; PublishEngine reconciles it against the
+  // Internally synchronized; InstallEngine reconciles it against the
   // new snapshot's shard uids after every swap.
   std::unique_ptr<QueryCache> query_cache_;
   std::unique_ptr<ThreadPool> lookup_pool_;
   // Write-path staging workers (ServerOptions::staging_threads).
   std::unique_ptr<ThreadPool> staging_pool_;
-  // Publishes since the last full Build; only the storage-turn holder
-  // (or Start, before handlers exist) touches it.
-  int64_t publishes_since_full_ = 0;
 
   // Group-commit queue. Tickets are drawn under write_mutex_ at batch
   // drain time, so ticket order == queue order.
@@ -402,7 +380,8 @@ class Server {
   Histogram* m_batch_edits_;
   Histogram* m_rebuild_us_;
   Histogram* m_snapshot_incremental_us_;
-  Histogram* m_snapshot_full_us_;
+  Gauge* m_engine_bytes_;
+  Gauge* m_query_cache_bytes_;
   Gauge* m_pipeline_depth_;
   Gauge* m_queue_depth_;
   Gauge* m_active_connections_;

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/forest_index.h"
@@ -386,9 +387,9 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
   }
 }
 
-// ApplyDelta edge cases: identity on an empty changed list, full-build
-// fallback from an empty snapshot, evolution down to an empty forest and
-// back, and shards whose counts exceed int32 surviving recompilation.
+// ApplyDelta edge cases: identity on an empty changed list, growth from
+// an empty snapshot, evolution down to an empty forest and back, and
+// shards whose counts exceed int32 surviving the merge.
 TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   const PqShape shape{2, 2};
   const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
@@ -399,7 +400,7 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   EXPECT_EQ(LookupEngine::ApplyDelta(engine, forest, {}).get(),
             engine.get());
 
-  // Empty previous snapshot: falls back to a full build.
+  // Empty previous snapshot: every id routes into shard 0.
   Tree doc = MustParse("a(b,c)");
   PqGramIndex huge = BuildIndex(doc, shape);
   const PqGramFingerprint fp = huge.counts().begin()->first;
@@ -448,6 +449,193 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
     ExpectSameResults(engine->Lookup(query, tau), forest.Lookup(query, tau),
                       "repopulated from empty");
   }
+}
+
+// Exactness of one snapshot against `forest`: every shard equals a
+// from-scratch freeze of its tree set (the merge must be bit-identical
+// to a Build, wide counts included), the shards hold exactly the
+// forest's trees, and Lookup/TopK match the scan bit for bit.
+void ExpectExactSnapshot(const LookupEngine& engine, const ForestIndex& forest,
+                         const PqGramIndex& query, const char* what) {
+  ASSERT_EQ(engine.size(), forest.size()) << what;
+  const std::vector<int> sizes = engine.ShardSizes();
+  int total = 0;
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    EXPECT_TRUE(engine.ShardMatchesFreezeForTesting(s, forest))
+        << what << " shard " << s;
+    total += sizes[static_cast<size_t>(s)];
+  }
+  EXPECT_EQ(total, forest.size()) << what;
+  int64_t postings = 0;
+  for (TreeId id : forest.TreeIds()) {
+    postings += static_cast<int64_t>(forest.Find(id)->counts().size());
+  }
+  EXPECT_EQ(engine.posting_entries(), postings) << what;
+  for (double tau : kTaus) {
+    ExpectSameResults(engine.Lookup(query, tau), forest.Lookup(query, tau),
+                      what);
+  }
+  for (int k : {1, 5, forest.size() + 1}) {
+    ExpectSameResults(engine.TopK(query, k), forest.TopK(query, k), what);
+  }
+}
+
+// The bag-based merge under a randomized edit log: updates, removals,
+// inserts below the first shard's range, above the last and into the
+// gaps between, empty bags, counts above INT32_MAX and repeated ids in
+// one delta. After every publish each shard must equal a from-scratch
+// freeze of the same trees.
+TEST(LookupEngineTest, ApplyDeltaMergeEqualsFreshFreeze) {
+  Rng rng(97);
+  auto dict = std::make_shared<LabelDict>();
+  const PqShape shape{2, 3};
+  const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
+  ForestIndex forest(shape);
+  std::map<TreeId, Tree> docs;
+  // Even ids 100..158: odd ids and ids outside [100, 158] are free.
+  for (TreeId id = 100; id < 160; id += 2) {
+    Tree doc = GenerateDblpLike(dict, &rng, 30);
+    forest.AddTree(id, doc);
+    docs.insert_or_assign(id, std::move(doc));
+  }
+  PqGramIndex query = BuildIndex(docs.begin()->second, shape);
+  const PqGramFingerprint wide_fp = query.counts().begin()->first;
+  query.Add(wide_fp, kWide + 7);
+
+  auto engine = LookupEngine::Build(forest, 4);
+  ExpectExactSnapshot(*engine, forest, query, "initial");
+  const Counter* repartitions =
+      Metrics::Default().counter("lookup_engine.repartitions");
+  TreeId below = 99;
+  TreeId above = 160;
+  for (int round = 0; round < 40; ++round) {
+    std::vector<TreeId> changed;
+    auto pick = [&] {
+      auto it = docs.begin();
+      std::advance(it, static_cast<long>(rng.NextBounded(docs.size())));
+      return it;
+    };
+    switch (round % 5) {
+      case 0: {  // updates through edit logs
+        for (int e = 0; e < 3; ++e) {
+          auto it = pick();
+          EditLog log;
+          GenerateEditScript(&it->second, &rng, 8, EditScriptOptions{},
+                             &log);
+          ASSERT_TRUE(forest.ApplyLog(it->first, it->second, log).ok());
+          changed.push_back(it->first);
+        }
+        break;
+      }
+      case 1: {  // removals, one of an id never indexed
+        for (int e = 0; e < 2 && docs.size() > 4; ++e) {
+          auto it = pick();
+          ASSERT_TRUE(forest.RemoveTree(it->first));
+          changed.push_back(it->first);
+          docs.erase(it);
+        }
+        changed.push_back(1000000);
+        break;
+      }
+      case 2: {  // inserts below the first range and above the last
+        for (TreeId id : {below--, above++, below--}) {
+          Tree doc = GenerateDblpLike(dict, &rng, 30);
+          forest.AddTree(id, doc);
+          docs.insert_or_assign(id, std::move(doc));
+          changed.push_back(id);
+        }
+        break;
+      }
+      case 3: {  // an empty bag (kept out of `docs`) and a gap insert
+        forest.AddIndex(below, PqGramIndex(shape));
+        changed.push_back(below--);
+        for (TreeId id = 101; id < 160; id += 2) {
+          if (forest.Find(id) == nullptr) {
+            Tree doc = GenerateDblpLike(dict, &rng, 30);
+            forest.AddTree(id, doc);
+            docs.insert_or_assign(id, std::move(doc));
+            changed.push_back(id);
+            break;
+          }
+        }
+        break;
+      }
+      case 4: {  // a count beyond INT32_MAX, then grown further
+        auto it = pick();
+        PqGramIndex bag = *forest.Find(it->first);
+        bag.Add(wide_fp, kWide + round);
+        forest.AddIndex(it->first, std::move(bag));
+        changed.push_back(it->first);
+        break;
+      }
+    }
+    // The bag-based entry point; a repeated id's last update wins, so a
+    // stale first mention of a changed tree must not leak through.
+    std::vector<LookupEngine::BagUpdate> updates;
+    const PqGramIndex stale(shape);
+    for (TreeId id : changed) updates.push_back({id, &stale});
+    for (TreeId id : changed) updates.push_back({id, forest.Find(id)});
+    const std::vector<uint64_t> before = engine->ShardUids();
+    const int64_t repartitions_before = repartitions->value();
+    engine = LookupEngine::ApplyDelta(engine, updates);
+    ExpectExactSnapshot(*engine, forest, query, "evolved");
+    // Without a re-partition, shards that received no update are
+    // shared, not rewritten.
+    const std::vector<uint64_t> after = engine->ShardUids();
+    if (repartitions->value() == repartitions_before) {
+      ASSERT_EQ(after.size(), before.size());
+      int shared = 0;
+      for (size_t s = 0; s < after.size(); ++s) {
+        shared += after[s] == before[s] ? 1 : 0;
+      }
+      EXPECT_GE(shared, static_cast<int>(after.size()) -
+                            static_cast<int>(changed.size()));
+    }
+  }
+}
+
+// An empty engine grows by sequential adds (each id above every range,
+// so all of them route to the last shard): the engine re-partitions
+// itself whenever a shard exceeds twice its fair share, and stays
+// exact throughout.
+TEST(LookupEngineTest, SequentialAddsStayBalancedAndExact) {
+  Rng rng(101);
+  auto dict = std::make_shared<LabelDict>();
+  const PqShape shape{2, 3};
+  constexpr int kShards = 4;
+  ForestIndex forest(shape);
+  auto engine = LookupEngine::Build(forest, kShards);
+  ASSERT_EQ(engine->size(), 0);
+  PqGramIndex query =
+      BuildIndex(GenerateDblpLike(dict, &rng, 30), shape);
+  int repartitions = 0;
+  for (TreeId id = 0; id < 80; ++id) {
+    forest.AddTree(id, GenerateDblpLike(dict, &rng, 30));
+    const std::vector<uint64_t> before = engine->ShardUids();
+    engine = LookupEngine::ApplyDelta(engine, {{id, forest.Find(id)}});
+    const std::vector<uint64_t> after = engine->ShardUids();
+    // A merge keeps every untouched shard; a re-partition mints all-new
+    // uids (and may change the shard count).
+    bool any_shared = false;
+    for (uint64_t uid : after) {
+      any_shared = any_shared ||
+                   std::find(before.begin(), before.end(), uid) !=
+                       before.end();
+    }
+    if (!any_shared && after.size() > 1) ++repartitions;
+    ExpectExactSnapshot(*engine, forest, query, "sequential adds");
+    const int n = id + 1;
+    const int fair = (n + kShards - 1) / kShards;
+    const std::vector<int> sizes = engine->ShardSizes();
+    EXPECT_LE(*std::max_element(sizes.begin(), sizes.end()), 2 * fair)
+        << "after " << n << " adds";
+    EXPECT_LE(engine->num_shards(), kShards);
+  }
+  EXPECT_EQ(engine->num_shards(), kShards);
+  // Each re-partition leaves the last shard a quarter of the forest; it
+  // next overflows once the forest has grown by about half.
+  EXPECT_GT(repartitions, 0);
+  EXPECT_LE(repartitions, 10);
 }
 
 // Named to run in the TSan CI job: readers race an engine-swapping

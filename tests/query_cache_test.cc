@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -124,6 +125,80 @@ TEST(QueryCacheTest, OnPublishReclaimsDeadUids) {
   EXPECT_EQ(cache.stale(), 4);
   EXPECT_EQ(cache.entries(), 0);
   EXPECT_EQ(cache.bytes(), 0);
+}
+
+// OnPublish drops exactly the entries of dead uids and leaves the live
+// ones where they were in LRU order. The reference cache saw the same
+// operations minus every dead entry: once the publish has reclaimed
+// them, both caches must agree on contents, bytes, and -- through the
+// evictions a later fill forces -- on recency order.
+TEST(QueryCacheTest, OnPublishDropsExactlyDeadEntriesKeepingLruOrder) {
+  QueryCache::Options options;
+  options.max_bytes = size_t{256} << 10;
+  QueryCache cache(options);
+  QueryCache reference(options);
+  const std::vector<uint64_t> live = {3, 5, 8};
+  auto is_live = [&](uint64_t uid) {
+    return std::find(live.begin(), live.end(), uid) != live.end();
+  };
+  auto fp_of = [](int i) {
+    return QueryFingerprint{0x9e3779b97f4a7c15ULL * (i + 1),
+                            0xc2b2ae3d27d4eb4fULL * (i + 7)};
+  };
+  // 60 queries x uids 1..8, interleaved; nothing evicts yet.
+  int64_t dead_entries = 0;
+  for (int i = 0; i < 60; ++i) {
+    for (uint64_t uid = 1; uid <= 8; ++uid) {
+      cache.Put(fp_of(i), uid, MakeResults(1 + i % 3, i));
+      if (is_live(uid)) {
+        reference.Put(fp_of(i), uid, MakeResults(1 + i % 3, i));
+      } else {
+        ++dead_entries;
+      }
+    }
+  }
+  ASSERT_EQ(cache.evictions(), 0);
+  // Refresh some live entries so LRU order differs from insert order.
+  std::vector<LookupResult> out;
+  for (int i = 0; i < 60; i += 7) {
+    for (uint64_t uid : live) {
+      ASSERT_TRUE(cache.Get(fp_of(i), uid, &out));
+      ASSERT_TRUE(reference.Get(fp_of(i), uid, &out));
+    }
+  }
+
+  // Live uids absent from the cache (9) are harmless.
+  cache.OnPublish({8, 9, 3, 5});
+  EXPECT_EQ(cache.stale(), dead_entries);
+  EXPECT_EQ(cache.entries(), reference.entries());
+  EXPECT_EQ(cache.bytes(), reference.bytes());
+  // Publishing the same live set again reclaims nothing.
+  cache.OnPublish(live);
+  EXPECT_EQ(cache.stale(), dead_entries);
+
+  // A fill past the budget evicts in LRU order in both caches.
+  for (int i = 1000; i < 3000; ++i) {
+    cache.Put(fp_of(i), 3, MakeResults(4, i));
+    reference.Put(fp_of(i), 3, MakeResults(4, i));
+  }
+  EXPECT_GT(cache.evictions(), 0);
+  EXPECT_EQ(cache.evictions(), reference.evictions());
+  for (int i = 0; i < 60; ++i) {
+    for (uint64_t uid = 1; uid <= 8; ++uid) {
+      std::vector<LookupResult> got;
+      std::vector<LookupResult> want;
+      const bool hit = cache.Get(fp_of(i), uid, &got);
+      EXPECT_EQ(hit, reference.Get(fp_of(i), uid, &want))
+          << "query " << i << " uid " << uid;
+      if (!is_live(uid)) {
+        EXPECT_FALSE(hit);
+      }
+      if (hit) ExpectSameResults(got, want, "survivor");
+    }
+  }
+  EXPECT_EQ(cache.entries(), reference.entries());
+  EXPECT_EQ(cache.bytes(), reference.bytes());
+  EXPECT_EQ(cache.stale(), dead_entries);
 }
 
 TEST(QueryCacheTest, ClearDropsEverythingAsStale) {
@@ -403,6 +478,60 @@ TEST(QueryCacheStressTest, CachedLookupsRaceSnapshotSwaps) {
         engine->Lookup(final_query, tau, nullptr, nullptr, &cache), want,
         "post-hammer warm");
   }
+}
+
+// Readers Get/Put against a moving window of live uids while a
+// publisher retires the oldest uid and reclaims it; the per-uid chains
+// and the LRU list must stay consistent under the race (TSan in CI).
+TEST(QueryCacheStressTest, OnPublishRacesGetAndPut) {
+  QueryCache::Options options;
+  options.max_bytes = size_t{64} << 10;  // small: evictions race too
+  QueryCache cache(options);
+  constexpr uint64_t kWindow = 4;
+  std::atomic<uint64_t> oldest_live{1};
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> bad_hits{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(500 + r);
+      std::vector<LookupResult> out;
+      while (!stop.load()) {
+        const uint64_t uid = oldest_live.load() + rng.NextBounded(kWindow);
+        const int q = static_cast<int>(rng.NextBounded(64));
+        const QueryFingerprint fp{static_cast<uint64_t>(q) + 1, uid};
+        if (cache.Get(fp, uid, &out)) {
+          // Payloads are a pure function of the key.
+          if (out.size() != 2 || out[0].tree_id != q ||
+              out[1].tree_id != static_cast<TreeId>(uid)) {
+            bad_hits.fetch_add(1);
+          }
+        } else {
+          cache.Put(fp, uid,
+                    {LookupResult{q, 0.0},
+                     LookupResult{static_cast<TreeId>(uid), 0.5}});
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 200; ++round) {
+    const uint64_t next = oldest_live.load() + 1;
+    oldest_live.store(next);
+    std::vector<uint64_t> live;
+    for (uint64_t k = 0; k < kWindow; ++k) live.push_back(next + k);
+    cache.OnPublish(live);
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad_hits.load(), 0);
+  EXPECT_GT(cache.stale(), 0);
+  EXPECT_LE(static_cast<size_t>(cache.bytes()), options.max_bytes);
+  // Reclaiming everything leaves the accounting at exactly zero.
+  cache.OnPublish({});
+  EXPECT_EQ(cache.entries(), 0);
+  EXPECT_EQ(cache.bytes(), 0);
 }
 
 }  // namespace

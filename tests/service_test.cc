@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -1191,7 +1192,6 @@ TEST(ServiceStressTest, ConcurrentClientsWithPipelinedCommits) {
   options.max_connections = 8;
   options.commit_pipeline_depth = 3;
   options.staging_threads = 2;
-  options.snapshot_full_rebuild_every = 8;
   options.commit_hold_us = 200;
   TestService service("svc_stress_pipeline.db", PqShape{2, 3}, options);
   RunStressWorkload(&service, "svc_stress_pipeline.db");
@@ -1206,7 +1206,6 @@ TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
   options.max_connections = 8;
   options.commit_pipeline_depth = 4;
   options.staging_threads = 2;
-  options.snapshot_full_rebuild_every = 4;
   const PqShape shape{2, 2};
   TestService service("svc_pipeline_chain.db", shape, options);
 
@@ -1250,38 +1249,69 @@ TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
   }
 }
 
-// Snapshot cadence: with --full-rebuild-every N, most publishes go down
-// the incremental (ApplyDelta) path and every Nth is a full rebuild;
-// both feed their own registry histogram.
-TEST(ServiceMetricsTest, SnapshotPublishesSplitIncrementalVsFull) {
+// Snapshot publication never rebuilds from scratch: every commit's
+// publish is an incremental merge, and the engine re-partitions itself
+// only when sequential adds pile trees into the last shard past twice
+// its fair share. Update-only traffic never re-partitions, and the
+// resident-bytes gauges track the engine and the query cache.
+TEST(ServiceMetricsTest, SnapshotRepartitionsOnlyWhenUnbalanced) {
   MetricsSnapshot before = Metrics::Default().Snapshot();
   ServerOptions options;
-  options.snapshot_full_rebuild_every = 4;
+  options.lookup_shards = 4;
   const PqShape shape{2, 2};
-  TestService service("svc_snapshot_cadence.db", shape, options);
+  TestService service("svc_snapshot_repartition.db", shape, options);
   std::unique_ptr<Client> client = service.MustConnect();
-  for (TreeId id = 0; id < 10; ++id) {
+  constexpr int kTrees = 40;
+  for (TreeId id = 0; id < kTrees; ++id) {
     PqGramIndex bag(shape);
     bag.Add(static_cast<PqGramFingerprint>(10 + id), 1);
     ASSERT_TRUE(client->AddIndex(id, bag).ok());
+    const std::vector<int> sizes =
+        service.server->EngineSnapshotForTesting()->ShardSizes();
+    const int n = id + 1;
+    const int fair = (n + options.lookup_shards - 1) / options.lookup_shards;
+    EXPECT_LE(*std::max_element(sizes.begin(), sizes.end()), 2 * fair)
+        << "after " << n << " adds";
+    EXPECT_LE(static_cast<int>(sizes.size()), options.lookup_shards);
   }
   ServiceStats stats = service.server->stats();
-  EXPECT_GE(stats.snapshot_epoch, 11);  // initial publish + one per commit
-  service.server->Stop();
+  EXPECT_EQ(stats.snapshot_epoch, 1 + kTrees);  // initial + one per commit
+  MetricsSnapshot after_adds = Metrics::Default().Snapshot();
+  EXPECT_EQ(HistCount(after_adds, "server.snapshot_incremental_us") -
+                HistCount(before, "server.snapshot_incremental_us"),
+            kTrees);
+  const int64_t repartitions =
+      CounterValue(after_adds, "lookup_engine.repartitions") -
+      CounterValue(before, "lookup_engine.repartitions");
+  // The last shard outgrows twice its share once the forest has grown
+  // by about half since the previous re-partition: a handful, not one
+  // per add.
+  EXPECT_GT(repartitions, 0);
+  EXPECT_LE(repartitions, 8);
 
-  MetricsSnapshot after = Metrics::Default().Snapshot();
-  const int64_t incremental =
-      HistCount(after, "server.snapshot_incremental_us") -
-      HistCount(before, "server.snapshot_incremental_us");
-  const int64_t full = HistCount(after, "server.snapshot_full_us") -
-                       HistCount(before, "server.snapshot_full_us");
-  EXPECT_GT(incremental, 0);
-  EXPECT_GT(full, 0);
-  EXPECT_GT(incremental, full);  // cadence 4: most publishes incremental
-  const int64_t reused =
-      CounterValue(after, "lookup_engine.shards_reused") -
-      CounterValue(before, "lookup_engine.shards_reused");
-  EXPECT_GT(reused, 0);  // copy-on-write actually shared shards
+  // Updates route to the shard already holding the tree: no
+  // re-partition, and every other shard is shared.
+  for (int round = 0; round < 20; ++round) {
+    PqGramIndex plus(shape);
+    plus.Add(static_cast<PqGramFingerprint>(1000 + round), 1);
+    ASSERT_TRUE(client
+                    ->ApplyDeltas(static_cast<TreeId>(round % kTrees), plus,
+                                  PqGramIndex(shape), 1)
+                    .ok());
+  }
+  StatusOr<MetricsSnapshot> after = client->StatsSnapshot();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(CounterValue(*after, "lookup_engine.repartitions"),
+            CounterValue(after_adds, "lookup_engine.repartitions"));
+  EXPECT_GE(CounterValue(*after, "lookup_engine.shards_reused") -
+                CounterValue(after_adds, "lookup_engine.shards_reused"),
+            20 * (options.lookup_shards - 1));
+  EXPECT_EQ(HistCount(*after, "server.snapshot_full_us"), 0);
+  EXPECT_EQ(
+      CounterValue(*after, "server.resident_bytes.engine"),
+      service.server->EngineSnapshotForTesting()->ResidentBytes());
+  ASSERT_NE(after->Find("server.resident_bytes.query_cache"), nullptr);
+  service.server->Stop();
 }
 
 TEST(ServiceStressTest, ConcurrentClientsOverTcpLoopback) {

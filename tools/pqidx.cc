@@ -43,7 +43,7 @@
 //
 //   pqidx serve <index-file> [-p P] [-q Q] [--port N] [-t THREADS]
 //               [--lookup-threads N] [--stats-interval SECS]
-//               [--commit-pipeline-depth D] [--full-rebuild-every N]
+//               [--commit-pipeline-depth D]
 //               [--staging-threads N] [--replication-history N]
 //               [--replication-max-queue N] [--follow HOST:PORT]
 //               [--query-cache-mb N] [--query-cache-off]
@@ -60,14 +60,13 @@
 //       commits (validation + delta staging of batch N+1 runs while batch
 //       N is inside its WAL fsync); --staging-threads adds a pool that
 //       parallelizes delta staging within each batch; lookup snapshots
-//       are maintained incrementally (copy-on-write per shard), with a
-//       full defragmenting rebuild every --full-rebuild-every publishes
-//       (0 = never). Stop with SIGINT/SIGTERM; final service statistics
-//       and the full registry are printed on exit. --query-cache-mb N
-//       sizes the epoch-keyed query-result cache serving kLookup/kTopK
-//       (default 32 MiB; hit/miss/evict/stale counters show up as
-//       query_cache.* in `pqidx stats host:port`); --query-cache-off
-//       disables it.
+//       are maintained incrementally (each commit's bags are merged into
+//       the shards they touch). Stop with SIGINT/SIGTERM; final service
+//       statistics and the full registry are printed on exit.
+//       --query-cache-mb N sizes the epoch-keyed query-result cache
+//       serving kLookup/kTopK (default 32 MiB; hit/miss/evict/stale
+//       counters show up as query_cache.* in `pqidx stats host:port`);
+//       --query-cache-off disables it.
 //
 //       Any serving pqidxd is also a replication leader: followers
 //       subscribe to its committed-batch stream. --replication-history N
@@ -154,7 +153,7 @@ int Usage() {
                "  pqidx serve  <index-file> [-p P] [-q Q] [--port N] "
                "[-t THREADS] [--lookup-threads N] [--stats-interval SECS]\n"
                "               [--commit-pipeline-depth D] "
-               "[--full-rebuild-every N] [--staging-threads N]\n"
+               "[--staging-threads N]\n"
                "               [--replication-history N] "
                "[--replication-max-queue N] [--follow HOST:PORT]\n"
                "               [--query-cache-mb N] [--query-cache-off] "
@@ -570,7 +569,6 @@ int CmdServe(std::vector<std::string> args) {
   int lookup_threads = 0;
   int stats_interval = 0;
   int pipeline_depth = 1;
-  int full_rebuild_every = 64;
   int staging_threads = 0;
   ServerOptions defaults;
   int replication_history = defaults.replication_history;
@@ -591,8 +589,6 @@ int CmdServe(std::vector<std::string> args) {
       stats_interval = std::atoi(args[++i].c_str());
     } else if (args[i] == "--commit-pipeline-depth" && i + 1 < args.size()) {
       pipeline_depth = std::atoi(args[++i].c_str());
-    } else if (args[i] == "--full-rebuild-every" && i + 1 < args.size()) {
-      full_rebuild_every = std::atoi(args[++i].c_str());
     } else if (args[i] == "--staging-threads" && i + 1 < args.size()) {
       staging_threads = std::atoi(args[++i].c_str());
     } else if (args[i] == "--replication-history" && i + 1 < args.size()) {
@@ -614,7 +610,7 @@ int CmdServe(std::vector<std::string> args) {
   }
   if (rest.size() != 1 || port < 0 || port > 65535 || threads < 1 ||
       lookup_threads < 0 || stats_interval < 0 || pipeline_depth < 1 ||
-      full_rebuild_every < 0 || staging_threads < 0 ||
+      staging_threads < 0 ||
       replication_history < 1 || replication_max_queue < 1 ||
       query_cache_mb < 0 || store_shards < 1 || store_shards > 1024) {
     return Usage();
@@ -660,7 +656,6 @@ int CmdServe(std::vector<std::string> args) {
   options.max_connections = threads;
   options.lookup_threads = lookup_threads;
   options.commit_pipeline_depth = pipeline_depth;
-  options.snapshot_full_rebuild_every = full_rebuild_every;
   options.staging_threads = staging_threads;
   options.replication_history = replication_history;
   options.replication_max_queue = replication_max_queue;
