@@ -41,7 +41,7 @@ int main() {
     GenerateEditScript(&edited, &rng, log_size, EditScriptOptions{}, &log);
 
     // Snapshot persistence: in-memory update + full file rewrite.
-    std::string snap_path = "/tmp/pqidx_bench_snapshot.idx";
+    std::string snap_path = BenchTempPath("snapshot.idx");
     ForestIndex forest(shape);
     forest.AddTree(1, doc);
     if (!SaveForestIndex(forest, snap_path).ok()) return 1;
@@ -51,7 +51,7 @@ int main() {
     });
 
     // Paged store: delta-sized page writes through the WAL.
-    std::string paged_path = "/tmp/pqidx_bench_paged.db";
+    std::string paged_path = BenchTempPath("paged.db");
     auto store = PersistentForestIndex::Create(paged_path, shape);
     if (!store.ok() || !(*store)->AddTree(1, doc).ok()) return 1;
     double paged_s = TimeIt([&] {

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   const int kStoreTrees = 512;
   const int kStoreBagTuples = 40;
   const int kStagingThreads = 4;
-  const std::string path = "/tmp/pqidx_bench_apply_batch.idx";
+  const std::string path = BenchTempPath("apply_batch.idx");
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 

@@ -16,7 +16,11 @@
 // forced-scalar, uncached engine on the 10k-tree tau-sweep, with
 // bit-identical results. Enforced (exit nonzero) at full scale; waived
 // when PQIDX_BENCH_SCALE shrinks the forest, where fixed per-query
-// costs dominate and the bar is not meaningful.
+// costs dominate and the bar is not meaningful. Its two factors are
+// reported beside it, ungated: the SIMD factor (scalar vs native kernel,
+// both uncached) and the cache factor (uncached vs warm, both native).
+// Every tau cell also reports postings scanned and verification probes
+// per query, the work the prefix cut leaves.
 //
 // Run:  build/bench/bench_lookup_engine [--json[=PATH]]
 // PQIDX_BENCH_SCALE scales forest sizes; results also land in
@@ -100,9 +104,9 @@ int main(int argc, char** argv) {
 
     ThreadPool pool4(4);
     ThreadPool pool8(8);
-    std::printf("%6s %10s %10s %10s %10s %10s %9s %9s\n", "tau", "scan [s]",
-                "inv [s]", "eng1 [s]", "eng4 [s]", "eng8 [s]", "vs scan",
-                "pruned%");
+    std::printf("%6s %10s %10s %10s %10s %10s %9s %9s %9s %8s\n", "tau",
+                "scan [s]", "inv [s]", "eng1 [s]", "eng4 [s]", "eng8 [s]",
+                "vs scan", "pruned%", "post/q", "probe/q");
     for (double tau : taus) {
       const double scan_s = TimeQueries(queries, &sink, [&](const auto& q) {
         return forest.Lookup(q, tau).size();
@@ -136,9 +140,15 @@ int main(int argc, char** argv) {
               ? 100.0 * static_cast<double>(stats.pruned) /
                     static_cast<double>(stats.candidates)
               : 0.0;
-      std::printf("%6.2f %10.4f %10.4f %10.4f %10.4f %10.4f %8.1fx %8.1f\n",
+      const double postings_per_query =
+          static_cast<double>(stats.postings_scanned) / kQueries;
+      const double probes_per_query =
+          static_cast<double>(stats.probes) / kQueries;
+      std::printf("%6.2f %10.4f %10.4f %10.4f %10.4f %10.4f %8.1fx %8.1f "
+                  "%9.0f %8.0f\n",
                   tau, scan_s, inv_s, eng1_s, eng4_s, eng8_s,
-                  eng1_s > 0 ? scan_s / eng1_s : 0.0, pruned_pct);
+                  eng1_s > 0 ? scan_s / eng1_s : 0.0, pruned_pct,
+                  postings_per_query, probes_per_query);
 
       char cell_buf[48];
       std::snprintf(cell_buf, sizeof(cell_buf), "_n%d_tau%.2f", n, tau);
@@ -151,6 +161,8 @@ int main(int argc, char** argv) {
       report.Add("engine_speedup_vs_scan" + cell,
                  eng1_s > 0 ? scan_s / eng1_s : 0.0, "x");
       report.Add("pruned_pct" + cell, pruned_pct, "%");
+      report.Add("postings_per_query" + cell, postings_per_query);
+      report.Add("probes_per_query" + cell, probes_per_query);
     }
 
     // TopK: the adaptive bound against the forest's full-sort TopK.
@@ -192,6 +204,12 @@ int main(int argc, char** argv) {
       }
 
       SetSimdKernelForTesting(native);
+      double native_s = 0;
+      for (double tau : taus) {
+        native_s += TimeQueries(queries, &sink, [&](const auto& q) {
+          return engine->Lookup(q, tau).size();
+        });
+      }
       QueryCache cache(QueryCache::Options{});
       for (double tau : taus) {  // prime every (query, tau) key
         for (const PqGramIndex& query : queries) {
@@ -222,6 +240,13 @@ int main(int argc, char** argv) {
       }
 
       const double speedup = warm_s > 0 ? scalar_s / warm_s : 0.0;
+      // The composite gate's two factors, reported beside it: the
+      // kernel's share (both uncached) and the cache's (both native).
+      const double simd_factor = native_s > 0 ? scalar_s / native_s : 0.0;
+      const double cache_factor = warm_s > 0 ? native_s / warm_s : 0.0;
+      std::printf("  SIMD factor (scalar / native, uncached) %.2fx; cache "
+                  "factor (uncached / warm, native) %.1fx\n",
+                  simd_factor, cache_factor);
       const bool enforce = Scale() >= 1.0;
       std::printf("  scalar uncached sweep %.4fs, SIMD warm-cache sweep "
                   "%.4fs: %.1fx%s\n",
@@ -236,6 +261,9 @@ int main(int argc, char** argv) {
       report.Add("gate_scalar_uncached_s", scalar_s, "s");
       report.Add("gate_simd_warm_cache_s", warm_s, "s");
       report.Add("query_path_speedup", speedup, "x");
+      report.Add("gate_native_uncached_s", native_s, "s");
+      report.Add("simd_factor", simd_factor, "x");
+      report.Add("cache_factor", cache_factor, "x");
       report.Add("gate_cache_hits", static_cast<double>(cache.hits()));
       report.Add("gate_cache_bytes", static_cast<double>(cache.bytes()),
                  "B");

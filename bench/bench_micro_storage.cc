@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "common/scoped_temp_dir.h"
 #include "core/pqgram_index.h"
 #include "core/streaming.h"
 #include "edit/edit_script.h"
@@ -20,8 +21,10 @@
 namespace pqidx {
 namespace {
 
+// Store files live in this process's private scratch directory.
 std::string BenchPath(const std::string& name) {
-  return "/tmp/pqidx_bench_" + name;
+  static ScopedTempDir dir;
+  return dir.File(name);
 }
 
 void BM_PagerCommitDirtyPages(benchmark::State& state) {

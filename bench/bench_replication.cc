@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
   // forests; only enforce it when the run is at (near) full scale
   // (RequireAtScale below uses the matching scale threshold).
   const bool kEnforceGate = kTrees >= 5000;
-  const std::string leader_path = "/tmp/pqidx_bench_repl_leader.idx";
-  const std::string follower_path = "/tmp/pqidx_bench_repl_follower.idx";
+  const std::string leader_path = BenchTempPath("repl_leader.idx");
+  const std::string follower_path = BenchTempPath("repl_follower.idx");
   RemoveStore(leader_path);
   RemoveStore(follower_path);
 

@@ -59,7 +59,7 @@ double RunReaderSweep(int readers, const PqShape& shape,
   const int kForestTrees = 64;
   const int kLookupsPerReader = Scaled(200);
   const int kTreeNodes = 60;
-  const std::string path = "/tmp/pqidx_bench_service_readers.idx";
+  const std::string path = BenchTempPath("service_readers.idx");
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 
@@ -152,7 +152,7 @@ double RunWriteWorkload(const WriteWorkloadConfig& cfg, const PqShape& shape,
   const int kTreesPerWriter = 8;
   const int kRequestsPerWriter = Scaled(150);
   const int kTreeNodes = 50;
-  const std::string path = "/tmp/pqidx_bench_service_write.idx";
+  const std::string path = BenchTempPath("service_write.idx");
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   const int kTreesPerClient = 8;
   const int kRequestsPerClient = Scaled(300);
   const int kTreeNodes = 60;
-  const std::string path = "/tmp/pqidx_bench_service.idx";
+  const std::string path = BenchTempPath("service.idx");
 
   StatusOr<std::unique_ptr<ShardedStore>> index =
       ShardedStore::Create(path, shape);

@@ -13,8 +13,17 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/scoped_temp_dir.h"
 
 namespace pqidx::bench {
+
+// A path inside this process's private scratch directory, so concurrent
+// or killed runs never share store files; the directory and everything
+// below it is removed when the process exits.
+inline std::string BenchTempPath(const std::string& name) {
+  static ScopedTempDir dir;
+  return dir.File(name);
+}
 
 // Multiplies workload sizes by PQIDX_BENCH_SCALE (default 1.0). Scale 10+
 // approaches the paper's original sizes; the defaults keep every binary

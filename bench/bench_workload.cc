@@ -92,7 +92,7 @@ struct Harness {
 std::unique_ptr<Harness> StartHarness(const PqShape& shape, int clients,
                                       bool tcp, int store_shards) {
   auto harness = std::make_unique<Harness>();
-  harness->path = "/tmp/pqidx_bench_workload.idx";
+  harness->path = BenchTempPath("workload.idx");
 
   StatusOr<std::unique_ptr<ShardedStore>> index =
       ShardedStore::Create(harness->path, shape, store_shards);

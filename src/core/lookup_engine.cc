@@ -70,6 +70,8 @@ void RecordQueryMetrics(const LookupEngineStats& stats, int64_t start_us) {
       Metrics::Default().counter("lookup_engine.candidates_scored");
   static Counter* const m_postings =
       Metrics::Default().counter("lookup_engine.postings_scanned");
+  static Counter* const m_probes =
+      Metrics::Default().counter("lookup_engine.verify_probes");
   static Histogram* const m_query_us =
       Metrics::Default().histogram("lookup_engine.query_us");
   m_queries->Increment();
@@ -77,6 +79,7 @@ void RecordQueryMetrics(const LookupEngineStats& stats, int64_t start_us) {
   m_pruned->Add(stats.pruned);
   m_scored->Add(stats.scored);
   m_postings->Add(stats.postings_scanned);
+  m_probes->Add(stats.probes);
   if (Metrics::enabled()) {
     m_query_us->Record(Metrics::NowUs() - start_us);
   }
@@ -107,6 +110,95 @@ void RecordBuild(int64_t start_us) {
   publish_metrics().builds->Increment();
   if (Metrics::enabled()) {
     publish_metrics().build_us->Record(Metrics::NowUs() - start_us);
+  }
+}
+
+// The radix-directory bucket of `fp` among 2^bits: its top bits.
+inline size_t DirectoryBucket(PqGramFingerprint fp, int bits) {
+  return bits == 0 ? 0 : static_cast<size_t>(fp >> (64 - bits));
+}
+
+// Builds a shard's radix directory alongside its ascending fingerprint
+// array, about 8 fingerprints per bucket (fingerprints are mixed hashes,
+// so their top bits spread evenly). Add marks each bucket's end and
+// Finish turns those marks into bucket starts by a running maximum, so
+// neither pass branches on the data. The directory is sized up front
+// from an expected count; Finish redoes it in one pass over the final
+// array in the rare case that count needs another size, so it is always
+// a function of the fingerprints alone.
+class DirectoryBuilder {
+ public:
+  explicit DirectoryBuilder(size_t expected_fps)
+      : bits_(Bits(expected_fps)), dir_((size_t{1} << bits_) + 1, 0) {}
+
+  // Records that the fingerprint array holds `fp` at `index`; calls come
+  // in ascending fingerprint order, so the last call for a bucket wins.
+  void Add(PqGramFingerprint fp, size_t index) {
+    dir_[DirectoryBucket(fp, bits_) + 1] = static_cast<uint32_t>(index + 1);
+  }
+
+  // Closes the directory over the complete array `fps`: dir[b] is then
+  // the first index whose bucket is >= b.
+  void Finish(const std::vector<PqGramFingerprint>& fps, int* bits,
+              std::vector<uint32_t>* dir) {
+    if (Bits(fps.size()) != bits_) {
+      *this = DirectoryBuilder(fps.size());
+      for (size_t i = 0; i < fps.size(); ++i) Add(fps[i], i);
+    }
+    for (size_t b = 1; b < dir_.size(); ++b) {
+      dir_[b] = std::max(dir_[b], dir_[b - 1]);
+    }
+    *bits = bits_;
+    *dir = std::move(dir_);
+  }
+
+ private:
+  static int Bits(size_t fp_count) {
+    return static_cast<int>(std::bit_width(fp_count / 8));
+  }
+
+  int bits_;
+  std::vector<uint32_t> dir_;
+};
+
+// MinQualifyingOverlap memoised by union size: trees of one shard
+// share few distinct sizes, so a small direct-mapped table spares most
+// of the per-candidate walks.
+class RequiredOverlapMemo {
+ public:
+  explicit RequiredOverlapMemo(double tau) : tau_(tau) {
+    std::fill(std::begin(union_), std::end(union_), int64_t{-1});
+  }
+  int64_t Get(int64_t union_size) {
+    const size_t h = static_cast<size_t>(union_size) % kSlots;
+    if (union_[h] != union_size) {
+      union_[h] = union_size;
+      required_[h] = MinQualifyingOverlap(tau_, union_size);
+    }
+    return required_[h];
+  }
+
+ private:
+  static constexpr size_t kSlots = 64;
+  double tau_;
+  int64_t union_[kSlots];
+  int64_t required_[kSlots];
+};
+
+// Sorts `keys` (length << 32 | index, built in ascending index order)
+// by length, ties in index order: a stable LSD radix sort, one byte of
+// the length per pass and only as many passes as `max_length` needs.
+// Query lists number about a hundred per shard, where a comparison sort
+// spends most of its time on mispredicted branches.
+void SortByLength(std::vector<uint64_t>* keys, uint32_t max_length) {
+  std::vector<uint64_t> sorted(keys->size());
+  for (int shift = 32; shift < 64 && (max_length >> (shift - 32)) != 0;
+       shift += 8) {
+    size_t start[257] = {};
+    for (uint64_t key : *keys) ++start[((key >> shift) & 0xff) + 1];
+    for (size_t d = 0; d < 256; ++d) start[d + 1] += start[d];
+    for (uint64_t key : *keys) sorted[start[(key >> shift) & 0xff]++] = key;
+    keys->swap(sorted);
   }
 }
 
@@ -186,6 +278,12 @@ void LookupEngine::AppendEntry(Shard* shard, int32_t slot, int64_t count) {
 }
 
 void LookupEngine::Seal(Shard* shard) {
+  shard->min_tree_size =
+      shard->tree_sizes.empty()
+          ? 0
+          : *std::min_element(shard->tree_sizes.begin(),
+                              shard->tree_sizes.end());
+
   shard->uid = g_next_shard_uid.fetch_add(1, std::memory_order_relaxed);
   // Vector capacities plus the wide-count map's nodes and buckets.
   shard->bytes = static_cast<int64_t>(
@@ -193,6 +291,7 @@ void LookupEngine::Seal(Shard* shard) {
       shard->tree_sizes.capacity() * sizeof(int64_t) +
       shard->fps.capacity() * sizeof(PqGramFingerprint) +
       shard->offsets.capacity() * sizeof(uint32_t) +
+      shard->dir.capacity() * sizeof(uint32_t) +
       shard->entries.capacity() * sizeof(Entry) +
       shard->wide_counts.size() * (sizeof(uint32_t) + sizeof(int64_t) +
                                    2 * sizeof(void*)) +
@@ -220,6 +319,9 @@ void LookupEngine::FreezeShard(Shard* shard, std::vector<RawPosting> part) {
   }
   shard->offsets.push_back(static_cast<uint32_t>(part.size()));
   if (shard->fps.empty()) shard->offsets.assign(1, 0);
+  DirectoryBuilder dir(shard->fps.size());
+  for (size_t i = 0; i < shard->fps.size(); ++i) dir.Add(shard->fps[i], i);
+  dir.Finish(shard->fps, &shard->dir_bits, &shard->dir);
   Seal(shard);
 }
 
@@ -322,6 +424,7 @@ std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
   shard->offsets.reserve(groups + 1);
   shard->entries.reserve(old.entries.size() + fresh.size());
   shard->offsets.push_back(0);
+  DirectoryBuilder dir(groups);
   size_t g = 0;
   size_t f = 0;
   while (g < groups || f < fresh.size()) {
@@ -356,12 +459,14 @@ std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
       }
     }
     if (shard->entries.size() > shard->offsets.back()) {
+      dir.Add(fp, shard->fps.size());
       shard->fps.push_back(fp);
       shard->offsets.push_back(static_cast<uint32_t>(shard->entries.size()));
     }
   }
   PQIDX_CHECK_MSG(shard->entries.size() <= UINT32_MAX,
                   "shard posting arena exceeds 32-bit offsets");
+  dir.Finish(shard->fps, &shard->dir_bits, &shard->dir);
   Seal(shard.get());
   return shard;
 }
@@ -546,7 +651,9 @@ bool LookupEngine::ShardMatchesFreezeForTesting(
          shard.tree_sizes == fresh.tree_sizes && shard.fps == fresh.fps &&
          shard.offsets == fresh.offsets &&
          same_entries(shard.entries, fresh.entries) &&
-         shard.wide_counts == fresh.wide_counts;
+         shard.wide_counts == fresh.wide_counts &&
+         shard.dir_bits == fresh.dir_bits && shard.dir == fresh.dir &&
+         shard.min_tree_size == fresh.min_tree_size;
 }
 
 std::vector<uint64_t> LookupEngine::ShardUids() const {
@@ -593,6 +700,74 @@ std::vector<LookupEngine::QueryTuple> LookupEngine::QueryTuples(
   return tuples;
 }
 
+size_t LookupEngine::Shard::FindFingerprint(PqGramFingerprint fp) const {
+  // A bucket of the usual size is counted through without branches; an
+  // oversized one (fingerprints sharing their top bits) is bisected.
+  const size_t b = DirectoryBucket(fp, dir_bits);
+  size_t pos = dir[b];
+  const size_t end = dir[b + 1];
+  if (end - pos > 16) {
+    pos = static_cast<size_t>(
+        std::lower_bound(fps.data() + pos, fps.data() + end, fp) -
+        fps.data());
+  } else {
+    size_t below = 0;
+    for (size_t i = pos; i < end; ++i) below += fps[i] < fp ? 1 : 0;
+    pos += below;
+  }
+  return pos < end && fps[pos] == fp ? pos : fps.size();
+}
+
+void LookupEngine::ResolveLists(const Shard& shard,
+                                const std::vector<QueryTuple>& tuples,
+                                std::vector<List>* lists,
+                                std::vector<int64_t>* rest) {
+  // One directory probe per tuple, in passes that prefetch the next
+  // pass's reads (directory entry, bucket fingerprints, list offsets), so
+  // the tuples' cache misses overlap instead of queueing one by one.
+  const size_t m = tuples.size();
+  std::vector<size_t> found(m);
+  for (size_t t = 0; t < m; ++t) {
+    __builtin_prefetch(shard.dir.data() +
+                       DirectoryBucket(tuples[t].fp, shard.dir_bits));
+  }
+  for (size_t t = 0; t < m; ++t) {
+    __builtin_prefetch(
+        shard.fps.data() +
+        shard.dir[DirectoryBucket(tuples[t].fp, shard.dir_bits)]);
+  }
+  for (size_t t = 0; t < m; ++t) {
+    found[t] = shard.FindFingerprint(tuples[t].fp);
+    __builtin_prefetch(shard.offsets.data() + found[t]);
+  }
+  // A list ranks by the packed key (length << 32 | tuple index): lengths
+  // and indexes fit 32 bits (arena offsets are uint32), and tuples are
+  // fingerprint-ascending, so equal lengths keep fingerprint order.
+  std::vector<uint64_t> keys;
+  keys.reserve(m);
+  uint32_t max_length = 0;
+  for (size_t t = 0; t < m; ++t) {
+    const size_t pos = found[t];
+    if (pos == shard.fps.size()) continue;
+    found[t] = shard.offsets[pos];
+    const uint32_t length = shard.offsets[pos + 1] - shard.offsets[pos];
+    max_length = std::max(max_length, length);
+    keys.push_back(static_cast<uint64_t>(length) << 32 | t);
+  }
+  SortByLength(&keys, max_length);
+  lists->clear();
+  lists->reserve(keys.size());
+  for (uint64_t key : keys) {
+    const size_t t = static_cast<uint32_t>(key);
+    lists->push_back({static_cast<uint32_t>(found[t]),
+                      static_cast<uint32_t>(key >> 32), tuples[t].count});
+  }
+  rest->assign(lists->size() + 1, 0);
+  for (size_t j = lists->size(); j-- > 0;) {
+    (*rest)[j] = (*rest)[j + 1] + (*lists)[j].qcount;
+  }
+}
+
 void LookupEngine::ScoreShard(const Shard& shard,
                               const std::vector<QueryTuple>& tuples,
                               int64_t query_size, double tau,
@@ -601,91 +776,97 @@ void LookupEngine::ScoreShard(const Shard& shard,
   const size_t n = shard.tree_ids.size();
   static_assert(sizeof(Entry) == 2 * sizeof(int32_t),
                 "kernels read the arena as interleaved int32 pairs");
-  struct List {
-    uint32_t begin;
-    uint32_t length;
-    int64_t qcount;
-    PqGramFingerprint fp;
-  };
-  // Query tuples arrive fingerprint-ascending and shard.fps is sorted,
-  // so each tuple's list is found by galloping forward from the
-  // previous position instead of bisecting the whole array.
   std::vector<List> lists;
-  lists.reserve(tuples.size());
-  size_t pos = 0;
-  for (const QueryTuple& t : tuples) {
-    pos = GallopLowerBound(shard.fps.data(), shard.fps.size(), pos, t.fp);
-    if (pos == shard.fps.size()) break;
-    if (shard.fps[pos] != t.fp) continue;
-    lists.push_back({shard.offsets[pos],
-                     shard.offsets[pos + 1] - shard.offsets[pos], t.count,
-                     t.fp});
-  }
-  // Rarest posting list first: the large lists then run with the small
-  // remaining-gain bound, which is where the count filter prunes.
-  std::sort(lists.begin(), lists.end(), [](const List& a, const List& b) {
-    return a.length < b.length || (a.length == b.length && a.fp < b.fp);
-  });
-  // rest[j] = maximum further overlap attainable after list j-1: each
-  // remaining tuple contributes at most its query multiplicity.
-  std::vector<int64_t> rest(lists.size() + 1, 0);
-  for (size_t j = lists.size(); j-- > 0;) {
-    rest[j] = rest[j + 1] + lists[j].qcount;
+  std::vector<int64_t> rest;
+  ResolveLists(shard, tuples, &lists, &rest);
+
+  // The prefix cut. A tree first reached by list j shares at most
+  // rest[j] with the query, and qualifies only with an overlap of
+  // MinQualifyingOverlap(tau, |Q| + s) >= MinQualifyingOverlap(tau,
+  // |Q| + min_tree_size) (monotone in the union size). So lists from the
+  // first j with rest[j] below that floor admit no new candidate. With
+  // tau >= 1 every tree qualifies and needs its exact overlap: no cut.
+  const bool filter = tau < 1.0;
+  size_t cut = lists.size();
+  if (filter) {
+    const int64_t floor =
+        MinQualifyingOverlap(tau, query_size + shard.min_tree_size);
+    cut = 0;
+    while (cut < lists.size() && rest[cut] >= floor) ++cut;
   }
 
-  const bool filter = tau < 1.0;
+  enum : uint8_t { kUnseen = 0, kLive = 1, kPruned = 2 };
   std::vector<int64_t> overlap(n, 0);
   std::vector<int64_t> required(filter ? n : 0, 0);
-  std::vector<uint8_t> pruned(n, 0);
+  std::vector<uint8_t> state(n, kUnseen);
   std::vector<int32_t> touched;
+  RequiredOverlapMemo memo(tau);
 
-  // The SIMD kernel deinterleaves each block and clamps every count
-  // against the query multiplicity up front; the scalar pass below only
-  // scatters the precomputed contributions into the accumulators. A
-  // negative contribution is the wide-count sentinel surviving the
-  // clamp and is resolved exactly from the side map.
+  // `alive` counts the candidates not pruned yet; past the cut, scoring
+  // stops once it reaches 0.
+  size_t alive = 0;
+  auto prune_if_beaten = [&](size_t slot, int64_t gain_after) {
+    if (overlap[slot] + gain_after >= required[slot]) return false;
+    state[slot] = kPruned;
+    ++stats->pruned;
+    --alive;
+    return true;
+  };
+
+  // Scans one whole list. The SIMD kernel deinterleaves each block and
+  // clamps every count against the query multiplicity up front; the
+  // scalar pass only scatters the contributions. A negative contribution
+  // is the wide-count sentinel surviving the clamp and is resolved
+  // exactly from the side map. Before the cut a scan admits candidates;
+  // after it, it only adds to survivors. Either way a candidate it
+  // touches is pruned once it cannot reach its bound with `gain_after`.
   constexpr size_t kBlock = 256;
   int32_t slot_buf[kBlock];
   int32_t contrib_buf[kBlock];
-
-  for (size_t j = 0; j < lists.size(); ++j) {
-    const List& list = lists[j];
-    const int64_t gain_after = rest[j + 1];
+  auto scan = [&](const List& list, int64_t gain_after, bool admit) {
+    // Raw pointers and counters in locals: a store through a uint8_t
+    // pointer may alias anything reachable from memory, which would
+    // force a reload of every vector's data pointer per entry.
+    int64_t* const acc = overlap.data();
+    uint8_t* const st = state.data();
+    int64_t* const req = required.data();
+    const int64_t* const sizes = shard.tree_sizes.data();
+    const Entry* const arena = shard.entries.data() + list.begin;
+    int64_t pruned = 0;
+    size_t admitted = 0;
     stats->postings_scanned += list.length;
     const int32_t qc32 = static_cast<int32_t>(
         std::min<int64_t>(list.qcount, INT32_MAX));
     for (size_t base = 0; base < list.length; base += kBlock) {
       const size_t m = std::min<size_t>(kBlock, list.length - base);
-      ComputeContribs(
-          reinterpret_cast<const int32_t*>(shard.entries.data() +
-                                           list.begin + base),
-          m, qc32, slot_buf, contrib_buf);
+      ComputeContribs(reinterpret_cast<const int32_t*>(arena + base), m,
+                      qc32, slot_buf, contrib_buf);
       for (size_t i = 0; i < m; ++i) {
-        const int32_t slot = slot_buf[i];
-        if (pruned[static_cast<size_t>(slot)]) continue;
-        int64_t& acc = overlap[static_cast<size_t>(slot)];
-        if (acc == 0) {
-          touched.push_back(slot);
-          if (filter) {
-            required[static_cast<size_t>(slot)] = MinQualifyingOverlap(
-                tau,
-                query_size + shard.tree_sizes[static_cast<size_t>(slot)]);
-          }
+        const size_t slot = static_cast<size_t>(slot_buf[i]);
+        if (st[slot] != kLive) {
+          if (!admit || st[slot] == kPruned) continue;
+          st[slot] = kLive;
+          ++admitted;
+          touched.push_back(slot_buf[i]);
+          if (filter) req[slot] = memo.Get(query_size + sizes[slot]);
         }
         int64_t contrib = contrib_buf[i];
         if (contrib < 0) {
           contrib = std::min<int64_t>(
               list.qcount, shard.EntryCount(list.begin + base + i));
         }
-        acc += contrib;
-        if (filter &&
-            acc + gain_after < required[static_cast<size_t>(slot)]) {
-          pruned[static_cast<size_t>(slot)] = 1;
-          ++stats->pruned;
+        acc[slot] += contrib;
+        if (filter && acc[slot] + gain_after < req[slot]) {
+          st[slot] = kPruned;
+          ++pruned;
         }
       }
     }
-  }
+    stats->pruned += pruned;
+    alive = alive + admitted - static_cast<size_t>(pruned);
+  };
+
+  for (size_t j = 0; j < cut; ++j) scan(lists[j], rest[j + 1], true);
   stats->candidates += static_cast<int64_t>(touched.size());
 
   if (!filter) {
@@ -699,16 +880,61 @@ void LookupEngine::ScoreShard(const Shard& shard,
     }
     return;
   }
+
+  // Past the cut, only the survivors' overlaps move. Galloping costs
+  // O(log gap) per survivor against about one step per entry for a
+  // scan, so a list more than kGallopRatio entries per survivor long is
+  // galloped, slot-ascending, and a shorter one scanned. `live` holds
+  // the survivors in slot order and may still list some that a scan
+  // pruned since; a gallop pass drops those.
+  constexpr size_t kGallopRatio = 16;
+  if (cut < lists.size()) {
+    std::vector<int32_t> live;
+    live.reserve(alive);
+    for (int32_t slot : touched) {
+      const size_t s = static_cast<size_t>(slot);
+      if (state[s] == kLive && !prune_if_beaten(s, rest[cut])) {
+        live.push_back(slot);
+      }
+    }
+    std::sort(live.begin(), live.end());
+    const Entry* entries = shard.entries.data();
+    for (size_t j = cut; j < lists.size() && alive > 0; ++j) {
+      const List& list = lists[j];
+      if (list.length <= kGallopRatio * alive) {
+        scan(list, rest[j + 1], false);
+        continue;
+      }
+      const size_t end = static_cast<size_t>(list.begin) + list.length;
+      size_t pos = list.begin;
+      size_t kept = 0;
+      for (int32_t slot : live) {
+        const size_t s = static_cast<size_t>(slot);
+        if (state[s] != kLive) continue;
+        if (pos < end) {
+          ++stats->probes;
+          pos = GallopLowerBound(entries, end, pos, slot,
+                                 [](const Entry& e) { return e.slot; });
+          if (pos < end && entries[pos].slot == slot) {
+            overlap[s] += std::min<int64_t>(list.qcount,
+                                            shard.EntryCount(pos));
+            ++pos;
+          }
+        }
+        if (!prune_if_beaten(s, rest[j + 1])) live[kept++] = slot;
+      }
+      live.resize(kept);
+    }
+  }
+
   for (int32_t slot : touched) {
-    if (pruned[static_cast<size_t>(slot)]) continue;
+    const size_t s = static_cast<size_t>(slot);
+    if (state[s] != kLive) continue;
     ++stats->scored;
-    if (overlap[static_cast<size_t>(slot)] >=
-        required[static_cast<size_t>(slot)]) {
-      out->push_back(
-          {shard.tree_ids[static_cast<size_t>(slot)],
-           BagDistance(overlap[static_cast<size_t>(slot)],
-                       query_size +
-                           shard.tree_sizes[static_cast<size_t>(slot)])});
+    if (overlap[s] >= required[s]) {
+      out->push_back({shard.tree_ids[s],
+                      BagDistance(overlap[s],
+                                  query_size + shard.tree_sizes[s])});
     }
   }
   if (query_size == 0 && tau >= 0.0) {
@@ -791,30 +1017,9 @@ void LookupEngine::ScoreShardTopK(const Shard& shard,
                                   std::vector<LookupResult>* heap,
                                   LookupEngineStats* stats) const {
   const size_t n = shard.tree_ids.size();
-  struct List {
-    uint32_t begin;
-    uint32_t length;
-    int64_t qcount;
-    PqGramFingerprint fp;
-  };
   std::vector<List> lists;
-  lists.reserve(tuples.size());
-  size_t pos = 0;
-  for (const QueryTuple& t : tuples) {
-    pos = GallopLowerBound(shard.fps.data(), shard.fps.size(), pos, t.fp);
-    if (pos == shard.fps.size()) break;
-    if (shard.fps[pos] != t.fp) continue;
-    lists.push_back({shard.offsets[pos],
-                     shard.offsets[pos + 1] - shard.offsets[pos], t.count,
-                     t.fp});
-  }
-  std::sort(lists.begin(), lists.end(), [](const List& a, const List& b) {
-    return a.length < b.length || (a.length == b.length && a.fp < b.fp);
-  });
-  std::vector<int64_t> rest(lists.size() + 1, 0);
-  for (size_t j = lists.size(); j-- > 0;) {
-    rest[j] = rest[j + 1] + lists[j].qcount;
-  }
+  std::vector<int64_t> rest;
+  ResolveLists(shard, tuples, &lists, &rest);
 
   std::vector<int64_t> overlap(n, 0);
   std::vector<uint8_t> pruned(n, 0);

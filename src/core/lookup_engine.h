@@ -12,6 +12,9 @@
 //     pointer walks over dense memory, not hash-map hopping;
 //   * trees are renumbered into dense slots, making the per-lookup
 //     accumulator a flat array indexed by slot;
+//   * each shard carries a radix directory over its fingerprints, so a
+//     query tuple finds its posting list with one directory read and a
+//     scan of about one cache line of fingerprints;
 //   * query tuples are processed rarest-posting-first, and a tau-derived
 //     count filter prunes candidates mid-accumulation: from
 //     dist = 1 - 2*shared/(|Q|+s), a tree with bag size s qualifies only
@@ -19,11 +22,21 @@
 //     plus the maximum gain still attainable from the remaining (rarer
 //     processed first, so larger) lists falls below that bound, it is
 //     dropped without finishing its accumulation;
+//   * candidates come from a prefix of the ranked lists only (the count
+//     filtering of MSQ-Index): once the remaining lists together cannot
+//     reach the bound of the shard's smallest tree, no tree first seen
+//     there can qualify, so the remaining lists only complete the
+//     surviving candidates' overlaps -- by a scan when the list is short
+//     relative to the survivor count, else by galloping each survivor's
+//     slot into the slot-sorted list -- and stop once none survive;
 //   * the trees are split into shards with independent posting arenas
 //     and accumulators, so large lookups score shards in parallel via
 //     ThreadPool::ParallelFor and merge at the end;
-//   * TopK tightens the pruning bound adaptively from the current k-th
-//     best result instead of a fixed tau.
+//   * TopK ranks every tree against an adaptive bound, the current k-th
+//     best result. Only the sequential, uncached TopK carries that bound
+//     across shards; with a pool or a cache (pqidxd always has the
+//     cache) each shard fills its own heap in its emit pass, after
+//     accumulation, so accumulation there never prunes.
 //
 // Results are bit-identical to ForestIndex::Lookup -- same distances
 // (identical double arithmetic), same ordering, same tie-breaks -- for
@@ -74,13 +87,15 @@ struct LookupEngineStats {
   int64_t candidates = 0;        // trees reached by at least one posting
   int64_t pruned = 0;            // dropped mid-accumulation by the filter
   int64_t scored = 0;            // candidates that reached the final test
-  int64_t postings_scanned = 0;  // posting entries visited
+  int64_t postings_scanned = 0;  // posting entries read by list scans
+  int64_t probes = 0;            // survivor slots galloped into a list
 
   LookupEngineStats& operator+=(const LookupEngineStats& other) {
     candidates += other.candidates;
     pruned += other.pruned;
     scored += other.scored;
     postings_scanned += other.postings_scanned;
+    probes += other.probes;
     return *this;
   }
 };
@@ -165,6 +180,9 @@ class LookupEngine {
   // tightens from the current k-th best across shards; with `pool` (or
   // `cache`, whose entries must not depend on cross-shard state),
   // shards compute independent top-k heaps that are merged at the end.
+  // A shard's own heap fills only in its emit pass, so in that mode
+  // accumulation prunes nothing and every posting of every query list
+  // is read.
   std::vector<LookupResult> TopK(const PqGramIndex& query, int k,
                                  ThreadPool* pool = nullptr,
                                  LookupEngineStats* stats = nullptr,
@@ -198,6 +216,17 @@ class LookupEngine {
     std::vector<Entry> entries;               // arena, grouped by fps order
     // Exact values of kWideCount entries, keyed by arena index.
     std::unordered_map<uint32_t, int64_t> wide_counts;
+    // Radix directory over fps: 2^dir_bits buckets by a fingerprint's top
+    // dir_bits bits (about 8 fingerprints each), dir[b] the first index
+    // of fps in bucket >= b, dir[2^dir_bits] == fps.size().
+    int dir_bits = 0;
+    std::vector<uint32_t> dir;
+    // The smallest |I(T)| in the shard (0 when it is empty): the floor
+    // of every union size, hence of every tree's qualifying overlap.
+    int64_t min_tree_size = 0;
+
+    // Index of `fp` in fps, or fps.size() when the shard lacks it.
+    size_t FindFingerprint(PqGramFingerprint fp) const;
 
     // The multiplicity of the arena entry at `index`, resolving the
     // kWideCount indirection.
@@ -213,6 +242,14 @@ class LookupEngine {
   struct QueryTuple {
     PqGramFingerprint fp;
     int64_t count;
+  };
+
+  // One query tuple's posting list in a shard: arena range and the
+  // query multiplicity that caps each posting's contribution.
+  struct List {
+    uint32_t begin;
+    uint32_t length;
+    int64_t qcount;
   };
 
   // A posting during one build: global-slot form before sharding.
@@ -234,14 +271,16 @@ class LookupEngine {
 
   // Freezes one shard's posting arena from its local-slot raw postings
   // (sorts by (fp, slot), builds fps/offsets/entries with the wide-count
-  // spill). tree_ids/tree_sizes must already be filled in.
+  // spill, then the directory). tree_ids/tree_sizes must already be
+  // filled in.
   static void FreezeShard(Shard* shard, std::vector<RawPosting> part);
 
   // The next version of `old` with `updates` (ascending unique ids, all
   // routed to this shard) applied: one pass over the old arena in
   // (fp, slot) order that drops the changed trees' entries, renumbers
-  // the surviving slots, and splices in the new bags' postings. The
-  // result equals FreezeShard of the same tree set, wide counts included.
+  // the surviving slots, splices in the new bags' postings and fills the
+  // directory. The result equals FreezeShard of the same tree set, wide
+  // counts and directory included.
   static std::shared_ptr<Shard> MergeShard(const Shard& old,
                                            const BagUpdate* begin,
                                            const BagUpdate* end);
@@ -250,7 +289,8 @@ class LookupEngine {
   // wide-count side map.
   static void AppendEntry(Shard* shard, int32_t slot, int64_t count);
 
-  // Sets shard->uid and shard->bytes once its arena is final.
+  // Once a shard's arena and directory are final: sets its size floor,
+  // uid and bytes.
   static void Seal(Shard* shard);
 
   // Rebuilds this snapshot into target_shards_ balanced shards from its
@@ -266,8 +306,19 @@ class LookupEngine {
       const std::vector<QueryTuple>& tuples, int64_t query_size,
       uint64_t op, uint64_t param);
 
-  // Scores one shard for Lookup: accumulates overlaps rarest-first with
-  // the tau-derived count filter and appends qualifying results.
+  // The shard's posting lists for `tuples`, rarest first (ties in
+  // fingerprint order), and rest[j] = the sum of the query multiplicities
+  // of lists j.. (rest has lists.size() + 1 entries, the last 0). List
+  // order never changes a result, only how much pruning sees.
+  static void ResolveLists(const Shard& shard,
+                           const std::vector<QueryTuple>& tuples,
+                           std::vector<List>* lists,
+                           std::vector<int64_t>* rest);
+
+  // Scores one shard for Lookup: admits candidates from the prefix of
+  // the ranked lists that can still seed a qualifying tree, completes
+  // the survivors' overlaps from the rest (scan or gallop per list) with
+  // the tau-derived count filter, and appends qualifying results.
   void ScoreShard(const Shard& shard, const std::vector<QueryTuple>& tuples,
                   int64_t query_size, double tau,
                   std::vector<LookupResult>* out,

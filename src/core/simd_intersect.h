@@ -12,10 +12,10 @@
 //     untouched (counts are positive, the clamp is >= 0), so the
 //     caller patches sentinel contributions from the exact side map
 //     and results stay bit-identical to the scalar path;
-//   * GallopLowerBound replaces the per-tuple binary search over a
-//     shard's sorted fingerprint array: query tuples arrive in
-//     ascending fingerprint order, so each search gallops forward from
-//     the previous match instead of bisecting the whole array.
+//   * GallopLowerBound verifies candidates past the lookup's prefix
+//     cut: surviving slots arrive in ascending order, so each search
+//     gallops forward through a slot-sorted posting list from the
+//     previous match instead of reading every entry.
 //
 // Kernels are selected once at runtime (AVX2 > SSE4.1 > NEON > scalar;
 // x86 detection via __builtin_cpu_supports) and every variant computes
@@ -27,8 +27,10 @@
 #ifndef PQIDX_CORE_SIMD_INTERSECT_H_
 #define PQIDX_CORE_SIMD_INTERSECT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 namespace pqidx {
 
@@ -59,13 +61,29 @@ bool SetSimdKernelForTesting(SimdKernel kernel);
 void ComputeContribs(const int32_t* pairs, size_t n, int32_t qcount,
                      int32_t* slots, int32_t* contribs);
 
-// First index in the ascending array `data[0, n)` at or after `begin`
-// whose value is >= `target`: lower_bound semantics, but galloping
+// First index in `data[0, n)` at or after `begin` whose key(element) is
+// >= `target`, the keys ascending: lower_bound semantics, but galloping
 // forward from `begin` (doubling steps, then a binary search inside the
 // final gap), so a run of searches with ascending targets costs
 // O(log gap) each instead of O(log n).
-size_t GallopLowerBound(const uint64_t* data, size_t n, size_t begin,
-                        uint64_t target);
+template <typename T, typename Target, typename KeyFn = std::identity>
+size_t GallopLowerBound(const T* data, size_t n, size_t begin,
+                        const Target& target, KeyFn key = {}) {
+  if (begin >= n || !(key(data[begin]) < target)) return begin;
+  // Invariant: key(data[lo]) < target. Double the step until it
+  // overshoots.
+  size_t lo = begin;
+  size_t step = 1;
+  while (lo + step < n && key(data[lo + step]) < target) {
+    lo += step;
+    step <<= 1;
+  }
+  const size_t hi = std::min(n, lo + step);
+  return static_cast<size_t>(
+      std::partition_point(data + lo + 1, data + hi,
+                           [&](const T& v) { return key(v) < target; }) -
+      data);
+}
 
 }  // namespace pqidx
 

@@ -484,8 +484,8 @@ TEST(CrashMatrixTest, PipelinedServerCrashKeepsExactlyAckedEdits) {
 // ---------------------------------------------------------------------------
 // Sharded group commit x inter-shard crash points.
 
-// Removes a sharded store directory (ScopedTempDir only reaps direct
-// file entries, not nested directories).
+// Removes a sharded store directory, so a case starts from nothing and
+// does not hold its files until the process-wide ScopedTempDir goes.
 void RemoveShardedStoreDir(const std::string& path) {
   std::remove((path + "/MANIFEST").c_str());
   for (int k = 0; k < 16; ++k) {

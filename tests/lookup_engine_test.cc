@@ -1,8 +1,9 @@
 // Tests for the read-optimized lookup engine: bit-identical equivalence
 // with ForestIndex::Lookup / InvertedForestIndex::Lookup across tau
 // sweeps (including tau >= 1 and empty bags), TopK equivalence, edit-log
-// evolution, pruning accounting, and concurrent lookups racing snapshot
-// swaps (run under TSan in CI).
+// evolution, pruning and prefix-cut accounting against hand-computed
+// ground truth, fingerprint-directory edge cases, and concurrent lookups
+// racing snapshot swaps (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -67,6 +68,22 @@ void ExpectEngineMatchesScan(const ForestIndex& forest,
     }
   }
 }
+
+// Restores the process-wide kernel selection on scope exit so a failing
+// SIMD test cannot leak a forced kernel into later tests.
+class ScopedSimdKernel {
+ public:
+  ScopedSimdKernel() : saved_(ActiveSimdKernel()) {}
+  ~ScopedSimdKernel() { SetSimdKernelForTesting(saved_); }
+  ScopedSimdKernel(const ScopedSimdKernel&) = delete;
+  ScopedSimdKernel& operator=(const ScopedSimdKernel&) = delete;
+
+ private:
+  SimdKernel saved_;
+};
+
+constexpr SimdKernel kAllKernels[] = {SimdKernel::kScalar, SimdKernel::kSse41,
+                                      SimdKernel::kAvx2, SimdKernel::kNeon};
 
 TEST(LookupEngineTest, MatchesScanOnSmallForest) {
   ForestIndex forest(PqShape{2, 2});
@@ -286,6 +303,15 @@ TEST(LookupEngineTest, TopKMatchesForestIndex) {
   }
 }
 
+// A bag of the given (fingerprint, count) tuples.
+PqGramIndex HandBag(const PqShape& shape,
+                    std::initializer_list<std::pair<PqGramFingerprint,
+                                                    int64_t>> tuples) {
+  PqGramIndex bag(shape);
+  for (const auto& [fp, count] : tuples) bag.Add(fp, count);
+  return bag;
+}
+
 TEST(LookupEngineTest, PruningStatsAccounting) {
   Rng rng(53);
   auto dict = std::make_shared<LabelDict>();
@@ -314,11 +340,316 @@ TEST(LookupEngineTest, PruningStatsAccounting) {
   EXPECT_EQ(all.size(), static_cast<size_t>(forest.size()));
   EXPECT_EQ(everything.pruned, 0);
   EXPECT_EQ(everything.scored, forest.size());
+  EXPECT_EQ(everything.probes, 0);
 
   // A tighter tau never scores more candidates than a looser one.
   LookupEngineStats loose;
   engine->Lookup(query, 0.8, nullptr, &loose);
   EXPECT_LE(selective.scored, loose.scored);
+  EXPECT_EQ(loose.pruned + loose.scored, loose.candidates);
+
+  // Ground truth for the prefix cut on a hand-built two-shard engine
+  // (ids 0..39 in shard 0, 40..79 in shard 1, every tree of size 4 but
+  // tree 42). Query Q = {f1, f2, f3, f4}, |Q| = 4, tau = 0.5: a size-4
+  // tree needs overlap >= MinQualifyingOverlap(0.5, 8) = 2, and the ranked
+  // lists' remaining gains are rest = {4, 3, 2, 1, 0}, so both shards cut
+  // after the third list.
+  //   Shard 0: tree 0 = {f1, f2, f3, f4}; trees 1..39 = {f4, g:3}. Lists
+  //     f1, f2, f3 (1 posting each) admit tree 0; f4 (40 postings) is past
+  //     the cut and longer than 16 per survivor, so tree 0 is galloped
+  //     into it: 3 postings, 1 probe, 1 candidate, scored at distance 0.
+  //   Shard 1: 40 = {f1, f2, g:2}, 41 = {f1, f3, f4, g}, 42 = {f2, g:19}
+  //     (size 20: needs 6 of MinQualifyingOverlap(0.5, 24)), 43..47 =
+  //     {f4, g:3}, 48..79 = {h:4}. Ranked f3 (1), f1 (2), f2 (2) admit
+  //     41, 40, 42; 42 reaches 1 + 1 of its 6 and is pruned. f4 (6
+  //     postings, 2 survivors) is scanned: 5 + 6 = 11 postings, 0 probes.
+  // A scan without the cut would read 43 + 11 postings.
+  const PqShape hand_shape{2, 2};
+  const PqGramFingerprint f1 = 11, f2 = 12, f3 = 13, f4 = 14, g = 99,
+                          h = 100;
+  ForestIndex hand(hand_shape);
+  hand.AddIndex(0, HandBag(hand_shape, {{f1, 1}, {f2, 1}, {f3, 1}, {f4, 1}}));
+  for (TreeId id = 1; id < 40; ++id) {
+    hand.AddIndex(id, HandBag(hand_shape, {{f4, 1}, {g, 3}}));
+  }
+  hand.AddIndex(40, HandBag(hand_shape, {{f1, 1}, {f2, 1}, {g, 2}}));
+  hand.AddIndex(41, HandBag(hand_shape, {{f1, 1}, {f3, 1}, {f4, 1}, {g, 1}}));
+  hand.AddIndex(42, HandBag(hand_shape, {{f2, 1}, {g, 19}}));
+  for (TreeId id = 43; id < 48; ++id) {
+    hand.AddIndex(id, HandBag(hand_shape, {{f4, 1}, {g, 3}}));
+  }
+  for (TreeId id = 48; id < 80; ++id) {
+    hand.AddIndex(id, HandBag(hand_shape, {{h, 4}}));
+  }
+  auto two = LookupEngine::Build(hand, 2);
+  ASSERT_EQ(two->ShardSizes(), (std::vector<int>{40, 40}));
+  const PqGramIndex hand_query =
+      HandBag(hand_shape, {{f1, 1}, {f2, 1}, {f3, 1}, {f4, 1}});
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    LookupEngineStats stats;
+    std::vector<LookupResult> got = two->Lookup(hand_query, 0.5, p, &stats);
+    ExpectSameResults(got, hand.Lookup(hand_query, 0.5), "hand-built");
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].tree_id, 0);
+    EXPECT_EQ(got[1].tree_id, 41);
+    EXPECT_EQ(got[2].tree_id, 40);
+    EXPECT_EQ(stats.postings_scanned, 3 + 11);
+    EXPECT_EQ(stats.probes, 1);
+    EXPECT_EQ(stats.candidates, 4);
+    EXPECT_EQ(stats.pruned, 1);
+    EXPECT_EQ(stats.scored, 3);
+    EXPECT_EQ(stats.pruned + stats.scored, stats.candidates);
+  }
+
+  // tau >= 1 needs every exact overlap: no cut, every list scanned.
+  LookupEngineStats uncut;
+  ExpectSameResults(two->Lookup(hand_query, 1.0, nullptr, &uncut),
+                    hand.Lookup(hand_query, 1.0), "hand-built tau 1");
+  EXPECT_EQ(uncut.postings_scanned, 43 + 11);
+  EXPECT_EQ(uncut.probes, 0);
+
+  // The registry counters move by exactly the per-call stats.
+  const Counter* postings =
+      Metrics::Default().counter("lookup_engine.postings_scanned");
+  const Counter* probes =
+      Metrics::Default().counter("lookup_engine.verify_probes");
+  const int64_t postings_before = postings->value();
+  const int64_t probes_before = probes->value();
+  two->Lookup(hand_query, 0.5);
+  EXPECT_EQ(postings->value() - postings_before, 14);
+  EXPECT_EQ(probes->value() - probes_before, 1);
+}
+
+// The prefix cut's shape from outside the engine, for a one-shard
+// engine: query lists ranked by (length, fingerprint) with rest[j] the
+// remaining query multiplicity, cut at the first rest[j] below the
+// qualifying overlap of the smallest tree.
+struct CutShape {
+  int64_t prefix_postings = 0;  // postings of the lists before the cut
+  int64_t total_postings = 0;   // postings of every query list
+  size_t lists_past_cut = 0;
+};
+
+CutShape PrefixCutOf(const ForestIndex& forest, const PqGramIndex& query,
+                     double tau) {
+  std::map<PqGramFingerprint, int64_t> length;
+  int64_t min_size = std::numeric_limits<int64_t>::max();
+  for (TreeId id : forest.TreeIds()) {
+    const PqGramIndex* bag = forest.Find(id);
+    min_size = std::min(min_size, bag->size());
+    for (const auto& [fp, count] : bag->counts()) {
+      if (query.Count(fp) > 0) ++length[fp];
+    }
+  }
+  std::vector<std::pair<int64_t, PqGramFingerprint>> ranked;
+  for (const auto& [fp, len] : length) ranked.emplace_back(len, fp);
+  std::sort(ranked.begin(), ranked.end());
+  const int64_t u = query.size() + min_size;
+  int64_t floor = 0;
+  while (1.0 - 2.0 * static_cast<double>(floor) / static_cast<double>(u) >
+         tau) {
+    ++floor;
+  }
+  int64_t rest = 0;
+  for (const auto& [len, fp] : ranked) rest += query.Count(fp);
+  CutShape shape;
+  bool cut = false;
+  for (const auto& [len, fp] : ranked) {
+    cut = cut || rest < floor;
+    shape.total_postings += len;
+    if (cut) {
+      ++shape.lists_past_cut;
+    } else {
+      shape.prefix_postings += len;
+    }
+    rest -= query.Count(fp);
+  }
+  return shape;
+}
+
+// Randomized three-way equivalence (engine, forest scan, inverted index)
+// under every compiled SIMD kernel, with the verification branches made
+// to run: near-copies of one base document give the query a few close
+// neighbours among many loose ones, so at tau 0.2 few candidates
+// survive the cut and long lists are galloped (probes > 0), while at
+// tau 0.9 many survive and the lists past the cut are scanned whole.
+TEST(LookupEngineTest, PrefixCutThreeWayEquivalenceUnderEveryKernel) {
+  ScopedSimdKernel restore;
+  Rng rng(131);
+  auto dict = std::make_shared<LabelDict>();
+  const PqShape shape{2, 3};
+  ForestIndex forest(shape);
+  InvertedForestIndex inverted(shape);
+  const Tree base = GenerateDblpLike(dict, &rng, 80);
+  TreeId id = 0;
+  for (; id < 6; ++id) {  // close neighbours of the base document
+    Tree doc = base.Clone();
+    EditLog log;
+    GenerateEditScript(&doc, &rng, 3, EditScriptOptions{}, &log);
+    forest.AddTree(id, doc);
+    inverted.AddTree(id, doc);
+  }
+  for (; id < 120; ++id) {  // loose ones sharing its vocabulary
+    Tree doc = GenerateDblpLike(dict, &rng, 80);
+    forest.AddTree(id, doc);
+    inverted.AddTree(id, doc);
+  }
+  // Empty bags ride along; tree 500 holds none of the query's tuples.
+  forest.AddIndex(400, PqGramIndex(shape));
+  inverted.AddIndex(400, PqGramIndex(shape));
+  forest.AddIndex(500, HandBag(shape, {{1, 3}, {2, 1}}));
+  inverted.AddIndex(500, HandBag(shape, {{1, 3}, {2, 1}}));
+
+  Tree near = base.Clone();
+  {
+    EditLog log;
+    GenerateEditScript(&near, &rng, 2, EditScriptOptions{}, &log);
+  }
+  const PqGramIndex query = BuildIndex(near, shape);
+  const PqGramIndex queries[] = {query, PqGramIndex(shape),
+                                 BuildIndex(GenerateDblpLike(dict, &rng, 80),
+                                            shape)};
+  const double taus[] = {0.0, 0.2, 0.5, 0.8, 0.99, 1.0};
+  const double hostile[] = {-1e308, -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  ThreadPool pool(3);
+
+  for (SimdKernel kernel : kAllKernels) {
+    if (!SetSimdKernelForTesting(kernel)) continue;
+    const char* name = SimdKernelName(kernel);
+    for (int shards : {1, 3, 16}) {
+      auto engine = LookupEngine::Build(forest, shards);
+      auto from_inverted = LookupEngine::Build(inverted, shards);
+      for (const PqGramIndex& q : queries) {
+        for (double tau : taus) {
+          const std::vector<LookupResult> want = forest.Lookup(q, tau);
+          ExpectSameResults(inverted.Lookup(q, tau), want, name);
+          LookupEngineStats stats;
+          ExpectSameResults(engine->Lookup(q, tau, nullptr, &stats), want,
+                            name);
+          if (tau < 1.0) {  // tau >= 1 scores every tree, candidate or not
+            EXPECT_EQ(stats.pruned + stats.scored, stats.candidates) << name;
+          }
+          ExpectSameResults(engine->Lookup(q, tau, &pool), want, name);
+          ExpectSameResults(from_inverted->Lookup(q, tau), want, name);
+        }
+        for (double tau : hostile) {
+          EXPECT_TRUE(engine->Lookup(q, tau).empty()) << name;
+        }
+        ExpectSameResults(engine->TopK(q, 7), forest.TopK(q, 7), name);
+        ExpectSameResults(engine->TopK(q, 7, &pool), forest.TopK(q, 7),
+                          name);
+      }
+    }
+
+    // Both verification branches, against the cut computed from outside.
+    auto engine = LookupEngine::Build(forest, 1);
+    const CutShape tight = PrefixCutOf(forest, query, 0.2);
+    ASSERT_GT(tight.lists_past_cut, 0u);
+    LookupEngineStats few;
+    engine->Lookup(query, 0.2, nullptr, &few);
+    EXPECT_GT(few.probes, 0) << name;
+    EXPECT_GE(few.postings_scanned, tight.prefix_postings) << name;
+    EXPECT_LT(few.postings_scanned, tight.total_postings) << name;
+
+    const CutShape loose = PrefixCutOf(forest, query, 0.9);
+    ASSERT_GT(loose.lists_past_cut, 0u);
+    LookupEngineStats many;
+    engine->Lookup(query, 0.9, nullptr, &many);
+    EXPECT_EQ(many.probes, 0) << name;
+    EXPECT_EQ(many.postings_scanned, loose.total_postings) << name;
+    EXPECT_GT(many.scored, 6) << name;
+  }
+}
+
+// A wide count (> INT32_MAX) read through the gallop branch: tree 0
+// shares a wide tuple with the query before the cut, and its entry in
+// the long list past the cut is itself wide, so verification must
+// resolve the sentinel from the side map.
+TEST(LookupEngineTest, WideCountThroughGallopVerification) {
+  const PqShape shape{2, 2};
+  const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
+  const PqGramFingerprint fa = 5, fw = 6, g = 7;
+  ForestIndex forest(shape);
+  forest.AddIndex(0, HandBag(shape, {{fa, kWide}, {fw, kWide + 3}}));
+  for (TreeId id = 1; id < 40; ++id) {
+    forest.AddIndex(id, HandBag(shape, {{fw, 1}, {g, 3}}));
+  }
+  InvertedForestIndex inverted(forest);
+  auto engine = LookupEngine::Build(forest, 1);
+  const PqGramIndex query = HandBag(shape, {{fa, kWide + 1}, {fw, 2}});
+  for (double tau : {0.4, 0.5, 0.8}) {
+    const std::vector<LookupResult> want = forest.Lookup(query, tau);
+    ASSERT_EQ(want.size(), 1u);
+    LookupEngineStats stats;
+    ExpectSameResults(engine->Lookup(query, tau, nullptr, &stats), want,
+                      "wide count galloped");
+    ExpectSameResults(inverted.Lookup(query, tau), want, "wide inverted");
+    EXPECT_EQ(stats.probes, 1) << tau;
+    EXPECT_EQ(stats.postings_scanned, 1) << tau;
+  }
+}
+
+// Directory edge cases: shards of 0 and 1 fingerprints, and fingerprints
+// that all share their top bits (one bucket holds every one of them) or
+// sit at the extremes of the range. Every query tuple must still find
+// its list, and merged shards must keep the freeze's directory.
+TEST(LookupEngineTest, DirectoryEdgeCases) {
+  const PqShape shape{2, 2};
+  ForestIndex forest(shape);
+  auto engine = LookupEngine::Build(forest, 2);
+  const PqGramIndex probe = HandBag(shape, {{1, 1}, {~uint64_t{0}, 2}});
+  EXPECT_TRUE(engine->Lookup(probe, 1.0).empty());
+
+  forest.AddIndex(1, HandBag(shape, {{42, 2}}));  // one fingerprint
+  engine = LookupEngine::Build(forest, 1);
+  EXPECT_TRUE(engine->ShardMatchesFreezeForTesting(0, forest));
+  const PqGramIndex one = HandBag(shape, {{42, 1}, {43, 1}});
+  for (double tau : kTaus) {
+    ExpectSameResults(engine->Lookup(one, tau), forest.Lookup(one, tau),
+                      "one fingerprint");
+  }
+
+  // 300 small fingerprints (top bits all zero, so one bucket out of
+  // many) plus a few at the top of the range (the last bucket).
+  Rng rng(7);
+  for (TreeId id = 2; id < 40; ++id) {
+    PqGramIndex bag(shape);
+    for (int i = 0; i < 20; ++i) {
+      bag.Add(1 + rng.NextBounded(300), 1 + rng.NextBounded(3));
+    }
+    bag.Add(~uint64_t{0} - rng.NextBounded(4), 1);
+    forest.AddIndex(id, std::move(bag));
+  }
+  PqGramIndex query(shape);
+  for (int i = 0; i < 40; ++i) query.Add(1 + rng.NextBounded(300), 1);
+  query.Add(~uint64_t{0}, 1);
+  query.Add(~uint64_t{0} - 2, 2);
+  for (int shards : {1, 2, 5}) {
+    engine = LookupEngine::Build(forest, shards);
+    for (int s = 0; s < engine->num_shards(); ++s) {
+      EXPECT_TRUE(engine->ShardMatchesFreezeForTesting(s, forest));
+    }
+    for (double tau : kTaus) {
+      ExpectSameResults(engine->Lookup(query, tau), forest.Lookup(query, tau),
+                        "one-bucket directory");
+    }
+    ExpectSameResults(engine->TopK(query, 9), forest.TopK(query, 9),
+                      "one-bucket directory topk");
+  }
+  // Merges keep the freeze's directory, down to an empty arena.
+  engine = LookupEngine::Build(forest, 2);
+  for (TreeId id = 1; id < 40; ++id) {
+    forest.AddIndex(id, PqGramIndex(shape));
+    engine = LookupEngine::ApplyDelta(engine, forest, {id});
+    for (int s = 0; s < engine->num_shards(); ++s) {
+      EXPECT_TRUE(engine->ShardMatchesFreezeForTesting(s, forest)) << id;
+    }
+  }
+  ExpectSameResults(engine->Lookup(query, 0.5), forest.Lookup(query, 0.5),
+                    "emptied arenas");
 }
 
 // Incremental snapshot maintenance: a randomized edit log evolves the
@@ -774,22 +1105,6 @@ TEST(LookupEngineParallelTest, ConcurrentLookupsDuringIncrementalSwaps) {
                       "final incremental snapshot");
   }
 }
-
-// Restores the process-wide kernel selection on scope exit so a failing
-// SIMD test cannot leak a forced kernel into later tests.
-class ScopedSimdKernel {
- public:
-  ScopedSimdKernel() : saved_(ActiveSimdKernel()) {}
-  ~ScopedSimdKernel() { SetSimdKernelForTesting(saved_); }
-  ScopedSimdKernel(const ScopedSimdKernel&) = delete;
-  ScopedSimdKernel& operator=(const ScopedSimdKernel&) = delete;
-
- private:
-  SimdKernel saved_;
-};
-
-constexpr SimdKernel kAllKernels[] = {SimdKernel::kScalar, SimdKernel::kSse41,
-                                      SimdKernel::kAvx2, SimdKernel::kNeon};
 
 TEST(SimdIntersectTest, GallopLowerBoundMatchesStdLowerBound) {
   Rng rng(41);

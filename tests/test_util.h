@@ -5,9 +5,6 @@
 #ifndef PQIDX_TESTS_TEST_UTIL_H_
 #define PQIDX_TESTS_TEST_UTIL_H_
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/scoped_temp_dir.h"
 #include "core/delta_store.h"
 #include "core/pqgram.h"
 #include "core/profile.h"
@@ -22,45 +20,8 @@
 
 namespace pqidx::testing {
 
-// An exclusive scratch directory (mkdtemp under $TMPDIR, else /tmp).
-// Tests that reuse fixed store names collide when `ctest -j` runs
-// binaries in parallel or a killed run leaves files behind; routing
-// every path through one of these makes each process hermetic. The
-// directory and its (direct) entries are removed on destruction.
-class ScopedTempDir {
- public:
-  ScopedTempDir() {
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl = base != nullptr && *base != '\0' ? base : "/tmp";
-    tmpl += "/pqidx_test_XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) != nullptr) path_ = buf.data();
-  }
-  ~ScopedTempDir() {
-    if (path_.empty()) return;
-    if (DIR* dir = ::opendir(path_.c_str())) {
-      while (dirent* entry = ::readdir(dir)) {
-        const std::string name = entry->d_name;
-        if (name == "." || name == "..") continue;
-        std::remove((path_ + "/" + name).c_str());
-      }
-      ::closedir(dir);
-    }
-    ::rmdir(path_.c_str());
-  }
-  ScopedTempDir(const ScopedTempDir&) = delete;
-  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
-
-  bool ok() const { return !path_.empty(); }
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  std::string path_;
-};
+// Hermetic scratch directories; see common/scoped_temp_dir.h.
+using pqidx::ScopedTempDir;
 
 // Materializes the pq-grams currently represented by a delta store.
 inline std::set<PqGram> StoreToSet(const DeltaStore& store) {
