@@ -2,15 +2,13 @@
 // isolation. Section 1 times snapshot publish on a 10k-tree forest --
 // full LookupEngine::Build versus the ApplyDelta merge a single-edit
 // commit performs -- and reports the speedup (the acceptance bar is
-// >= 5x; only 1 of ~16 shards is merged, the rest are shared). Section 2 sweeps
-// PersistentForestIndex::ApplyBatch over batch size x edit size x staging
-// threads, showing how the parallel delta phase scales, plus BulkAdd
-// ingest serial vs pooled. Section 3 isolates the bucket-clustered
-// staged-delta apply order (arrival order vs sorted). Section 4 is this
-// PR's acceptance gate: the same batched-update workload against a
-// single-shard store and a 4-shard ShardedStore -- one pager, WAL, and
-// group-commit lane per shard -- must clear a 2x throughput bar at full
-// scale.
+// >= 5x; only 1 of ~16 shards is merged, the rest are shared). Section 2
+// sweeps PersistentForestIndex::ApplyBatch over batch size x edit size,
+// plus BulkAdd ingest. Section 3 is the sharded-store gate: the same
+// batched-update workload against a single-shard store and a 4-shard
+// ShardedStore -- one pager, WAL, and group-commit lane per shard, the
+// lanes fanned across a pool -- must clear a 2x ingest throughput bar at
+// full scale.
 //
 // Not in the paper: the paper's update experiments (Figs 13-14) measure
 // the algorithmic log-update; this measures the serving substrate this
@@ -104,14 +102,13 @@ int main(int argc, char** argv) {
   report.Add("publish_incremental_ms", incr_s * 1e3, "ms");
   report.Add("publish_speedup", publish_speedup, "x");
 
-  // --- Section 2: ApplyBatch staging sweep ------------------------------
-  // Batched edits against the persistent store: the delta phase
-  // (flatten, hash, region-group, net-merge) fans out across a pool; the
-  // WAL transaction and table apply stay serial. Edits/s per cell.
-  PrintHeader("ApplyBatch: batch size x edit size x staging threads");
+  // --- Section 2: ApplyBatch sweep ---------------------------------------
+  // Batched edits against the persistent store: the delta phase nets the
+  // batch's tuple deltas per key in bucket order, then one WAL
+  // transaction commits them. Edits/s per cell.
+  PrintHeader("ApplyBatch: batch size x edit size");
   const int kStoreTrees = 512;
   const int kStoreBagTuples = 40;
-  const int kStagingThreads = 4;
   const std::string path = BenchTempPath("apply_batch.idx");
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
@@ -122,9 +119,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "create: %s\n", store.status().ToString().c_str());
     return 1;
   }
-  ThreadPool pool(kStagingThreads);
-
-  // Seed via BulkAdd, timing serial vs pooled ingest on the way.
+  // Seed via BulkAdd, timing the ingest on the way.
   std::vector<PqGramIndex> seed_bags;
   seed_bags.reserve(static_cast<size_t>(kStoreTrees));
   for (int i = 0; i < kStoreTrees; ++i) {
@@ -134,163 +129,84 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kStoreTrees; ++i) {
     refs.emplace_back(static_cast<TreeId>(i), &seed_bags[static_cast<size_t>(i)]);
   }
-  const double ingest_pooled_s = TimeIt([&] {
-    if (Status s = (*store)->BulkAdd(refs, &pool); !s.ok()) {
+  const double ingest_s = TimeIt([&] {
+    if (Status s = (*store)->BulkAdd(refs); !s.ok()) {
       std::fprintf(stderr, "bulk add: %s\n", s.ToString().c_str());
       std::exit(1);
     }
   });
-  // Serial comparison point on a second store.
-  {
-    const std::string path2 = path + ".serial";
-    std::remove(path2.c_str());
-    std::remove((path2 + ".wal").c_str());
-    StatusOr<std::unique_ptr<PersistentForestIndex>> store2 =
-        PersistentForestIndex::Create(path2, shape);
-    if (store2.ok()) {
-      const double ingest_serial_s =
-          TimeIt([&] { (void)(*store2)->BulkAdd(refs, nullptr); });
-      std::printf("%-32s %12.3f ms serial, %.3f ms pooled (%d bags)\n",
-                  "BulkAdd ingest", ingest_serial_s * 1e3,
-                  ingest_pooled_s * 1e3, kStoreTrees);
-      report.Add("bulk_add_serial_ms", ingest_serial_s * 1e3, "ms");
-      report.Add("bulk_add_pooled_ms", ingest_pooled_s * 1e3, "ms");
-    }
-    std::remove(path2.c_str());
-    std::remove((path2 + ".wal").c_str());
-  }
+  std::printf("%-32s %12.3f ms (%d bags)\n", "BulkAdd ingest",
+              ingest_s * 1e3, kStoreTrees);
+  report.Add("bulk_add_ms", ingest_s * 1e3, "ms");
 
-  std::printf("\n%10s %10s %10s %14s %12s\n", "batch", "tuples", "threads",
-              "edits/s", "delta [us]");
+  std::printf("\n%10s %10s %14s %12s\n", "batch", "tuples", "edits/s",
+              "delta [us]");
   for (int batch_size : {1, 16, 128}) {
     for (int edit_tuples : {4, 32}) {
-      for (int threads : {0, kStagingThreads}) {
-        const int kRounds = Scaled(8);
-        double total_s = 0;
-        int64_t total_edits = 0;
-        int64_t delta_us = 0;
-        for (int round = 0; round < kRounds; ++round) {
-          // Fresh plus-bags each round; empty minus keeps every edit a
-          // valid update without tracking store contents.
-          std::vector<PqGramIndex> plus;
-          PqGramIndex minus(shape);
-          plus.reserve(static_cast<size_t>(batch_size));
-          for (int b = 0; b < batch_size; ++b) {
-            plus.push_back(RandomBag(shape, &rng, edit_tuples));
-          }
-          std::vector<PersistentForestIndex::BatchEdit> edits;
-          for (int b = 0; b < batch_size; ++b) {
-            PersistentForestIndex::BatchEdit edit;
-            edit.id = static_cast<TreeId>(
-                (round * batch_size + b) % kStoreTrees);
-            edit.plus = &plus[static_cast<size_t>(b)];
-            edit.minus = &minus;
-            edits.push_back(edit);
-          }
-          std::vector<Status> results;
-          PersistentForestIndex::ApplyBatchTimings timings;
-          total_s += TimeIt([&] {
-            Status s = (*store)->ApplyBatch(edits, &results, &timings,
-                                            threads > 0 ? &pool : nullptr);
-            if (!s.ok()) {
-              std::fprintf(stderr, "apply: %s\n", s.ToString().c_str());
-              std::exit(1);
-            }
-          });
-          total_edits += batch_size;
-          delta_us += timings.delta_us;
-        }
-        const double edits_per_s = total_s > 0 ? total_edits / total_s : 0;
-        std::printf("%10d %10d %10d %14.0f %12lld\n", batch_size,
-                    edit_tuples, threads, edits_per_s,
-                    static_cast<long long>(delta_us / kRounds));
-        const std::string cell = "_b" + std::to_string(batch_size) + "_e" +
-                                 std::to_string(edit_tuples) + "_t" +
-                                 std::to_string(threads);
-        report.Add("apply_edits_per_s" + cell, edits_per_s, "edits/s");
-        report.Add("apply_delta_us" + cell,
-                   static_cast<double>(delta_us / kRounds), "us");
-      }
-    }
-  }
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
-
-  // --- Section 3: bucket-clustered staged deltas ------------------------
-  // The staging phase clusters each transaction's postings deltas by
-  // destination hash bucket before the in-WAL apply, so the table walks
-  // each touched page region once instead of hopping in arrival order.
-  // Same ingest + update workload with the clustering off, then on.
-  PrintHeader("staged deltas: arrival order vs bucket-clustered");
-  {
-    const int kSortBatch = 128;
-    const int kSortTuples = 32;
-    const int kSortRounds = Scaled(8);
-    double ms[2] = {0, 0};
-    for (int pass = 0; pass < 2; ++pass) {
-      const bool sorted = pass == 1;
-      PersistentForestIndex::SetBucketSortEnabled(sorted);
-      const std::string pass_path = path + (sorted ? ".bs_on" : ".bs_off");
-      std::remove(pass_path.c_str());
-      std::remove((pass_path + ".wal").c_str());
-      StatusOr<std::unique_ptr<PersistentForestIndex>> bs_store =
-          PersistentForestIndex::Create(pass_path, shape);
-      if (!bs_store.ok()) return 1;
-      double total_s = TimeIt([&] {
-        if (!(*bs_store)->BulkAdd(refs, &pool).ok()) std::exit(1);
-      });
-      for (int round = 0; round < kSortRounds; ++round) {
+      const int kRounds = Scaled(8);
+      double total_s = 0;
+      int64_t total_edits = 0;
+      int64_t delta_us = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        // Fresh plus-bags each round; empty minus keeps every edit a
+        // valid update without tracking store contents.
         std::vector<PqGramIndex> plus;
         PqGramIndex minus(shape);
-        plus.reserve(static_cast<size_t>(kSortBatch));
-        for (int b = 0; b < kSortBatch; ++b) {
-          plus.push_back(RandomBag(shape, &rng, kSortTuples));
+        plus.reserve(static_cast<size_t>(batch_size));
+        for (int b = 0; b < batch_size; ++b) {
+          plus.push_back(RandomBag(shape, &rng, edit_tuples));
         }
         std::vector<PersistentForestIndex::BatchEdit> edits;
-        for (int b = 0; b < kSortBatch; ++b) {
+        for (int b = 0; b < batch_size; ++b) {
           PersistentForestIndex::BatchEdit edit;
           edit.id = static_cast<TreeId>(
-              (round * kSortBatch + b) % kStoreTrees);
+              (round * batch_size + b) % kStoreTrees);
           edit.plus = &plus[static_cast<size_t>(b)];
           edit.minus = &minus;
           edits.push_back(edit);
         }
         std::vector<Status> results;
+        PersistentForestIndex::ApplyBatchTimings timings;
         total_s += TimeIt([&] {
-          if (!(*bs_store)->ApplyBatch(edits, &results, nullptr, &pool).ok()) {
+          Status s = (*store)->ApplyBatch(edits, &results, &timings);
+          if (!s.ok()) {
+            std::fprintf(stderr, "apply: %s\n", s.ToString().c_str());
             std::exit(1);
           }
         });
+        total_edits += batch_size;
+        delta_us += timings.delta_us;
       }
-      ms[pass] = total_s * 1e3;
-      std::remove(pass_path.c_str());
-      std::remove((pass_path + ".wal").c_str());
+      const double edits_per_s = total_s > 0 ? total_edits / total_s : 0;
+      std::printf("%10d %10d %14.0f %12lld\n", batch_size, edit_tuples,
+                  edits_per_s, static_cast<long long>(delta_us / kRounds));
+      const std::string cell = "_b" + std::to_string(batch_size) + "_e" +
+                               std::to_string(edit_tuples);
+      report.Add("apply_edits_per_s" + cell, edits_per_s, "edits/s");
+      report.Add("apply_delta_us" + cell,
+                 static_cast<double>(delta_us / kRounds), "us");
     }
-    PersistentForestIndex::SetBucketSortEnabled(true);
-    const double sort_speedup = ms[1] > 0 ? ms[0] / ms[1] : 0;
-    std::printf("%-32s %12.3f ms\n", "ingest+update, arrival order", ms[0]);
-    std::printf("%-32s %12.3f ms\n", "ingest+update, bucket-sorted", ms[1]);
-    std::printf("%-32s %11.2fx\n", "bucket-sort speedup", sort_speedup);
-    report.Add("bucket_sort_off_ms", ms[0], "ms");
-    report.Add("bucket_sort_on_ms", ms[1], "ms");
-    report.Add("bucket_sort_speedup", sort_speedup, "x");
   }
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 
-  // --- Section 4: sharded store write throughput (the PR gate) ----------
+  // --- Section 3: sharded store write throughput (the gate) -------------
   // Identical write traffic against one store and a 4-shard
   // ShardedStore. Each shard owns a pager, WAL, and hash table, so a
   // group commit runs 4 independent prepare lanes (delta staging, WAL
   // write, in-WAL table apply) across the pool where the single store
-  // serializes everything behind one WAL. The gate is ingest (BulkAdd),
-  // whose serial insert loop is the single store's CPU bottleneck; the
-  // batched-update numbers ride along with a per-phase split -- their
-  // commit cost is WAL bytes, which sharding spreads but the shared
-  // disk still absorbs, so the update speedup is reported, not gated.
+  // serializes everything behind one WAL (and ignores the pool). The
+  // gate is ingest (BulkAdd), whose serial insert loop is the single
+  // store's CPU bottleneck; the batched-update numbers ride along with a
+  // per-phase split -- their commit cost is WAL bytes, which sharding
+  // spreads but the shared disk still absorbs, so the update speedup is
+  // reported, not gated.
   PrintHeader("sharded store: 1 shard vs 4 shards, same write traffic");
   const int kGateTrees = Scaled(8192);
   const int kGateBatch = 256;
   const int kGateTuples = 32;
   const int kGateRounds = Scaled(12);
+  ThreadPool pool(4);
   std::vector<PqGramIndex> gate_bags;
   gate_bags.reserve(static_cast<size_t>(kGateTrees));
   for (int i = 0; i < kGateTrees; ++i) {

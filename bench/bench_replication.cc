@@ -35,7 +35,6 @@
 #include "bench_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/incremental.h"
 #include "core/lookup_engine.h"
@@ -92,8 +91,7 @@ bool SeedStore(const std::string& path, const PqShape& shape,
   for (size_t i = 0; i < bags.size(); ++i) {
     pairs.emplace_back(static_cast<TreeId>(i), &bags[i]);
   }
-  ThreadPool pool(4);
-  return store->BulkAdd(pairs, &pool, cursor).ok();
+  return store->BulkAdd(pairs, nullptr, cursor).ok();
 }
 
 // Byte-for-byte store clone: how a real standby gets provisioned from a

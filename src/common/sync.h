@@ -163,40 +163,6 @@ class CondVar {
   std::condition_variable cv_;
 };
 
-// Ticket-ordered turnstile: Await(t) blocks until every holder of a
-// smaller ticket has called Finish(), which admits ticket t+1. The
-// group-commit pipeline (service/server.cc) runs its validate and
-// storage phases through one turnstile each so phase N of batch B
-// starts only after phase N of batch B-1 finished, while the other
-// phases overlap freely.
-class Turnstile {
- public:
-  Turnstile() = default;
-  Turnstile(const Turnstile&) = delete;
-  Turnstile& operator=(const Turnstile&) = delete;
-
-  // Blocks until it is `ticket`'s turn. Tickets must be taken in order
-  // starting at 0; each must be finished exactly once.
-  void Await(uint64_t ticket) PQIDX_EXCLUDES(mutex_) {
-    MutexLock lock(&mutex_);
-    while (turn_ != ticket) cv_.Wait(&mutex_);
-  }
-
-  // Ends the current turn, admitting the next ticket.
-  void Finish() PQIDX_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(&mutex_);
-      ++turn_;
-    }
-    cv_.NotifyAll();
-  }
-
- private:
-  Mutex mutex_;
-  CondVar cv_;
-  uint64_t turn_ PQIDX_GUARDED_BY(mutex_) = 0;
-};
-
 }  // namespace pqidx
 
 #endif  // PQIDX_COMMON_SYNC_H_

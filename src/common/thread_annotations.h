@@ -16,8 +16,8 @@
 // forbids the raw std types outside that header.
 //
 // PQIDX_NO_THREAD_SAFETY_ANALYSIS is the escape hatch for contracts the
-// analysis cannot express (e.g. "the ticket-ordered storage turn
-// serializes access"). Every use must carry a `no-tsa:` justification
+// analysis cannot express (e.g. "only the single batch leader runs
+// this"). Every use must carry a `no-tsa:` justification
 // comment on the same or the preceding line -- tools/lint.py rule R7
 // rejects bare escapes.
 

@@ -2,9 +2,9 @@
 // follower catch-up (docs/ARCHITECTURE.md, "Replication").
 //
 // The leader side is the ReplicationHub: every committed group-commit
-// batch is re-encoded as delta-frame chunks (wire.h) in the pipeline's
-// overlap zone and handed to the hub by the storage-turn holder, in
-// ticket order, AFTER the batch is durable. The hub fans the frame out
+// batch is re-encoded as delta-frame chunks (wire.h) and handed to the
+// hub by the group-commit leader, in ticket order, AFTER the batch is
+// durable. The hub fans the frame out
 // to per-subscriber bounded queues and retains a short history window
 // for O(delta) resume -- Publish never blocks on a subscriber, so
 // replication never backpressures ApplyBatch. A subscriber that falls
@@ -118,7 +118,7 @@ struct ReplicationHubOptions {
 };
 
 // The leader-side fan-out point. Thread-safe; Publish is called in
-// ticket order by the storage-turn holder and never blocks on a
+// ticket order by the group-commit leader and never blocks on a
 // subscriber.
 class ReplicationHub {
  public:

@@ -57,8 +57,6 @@ Server::Server(ShardedStore* index, ServerOptions options)
   PQIDX_CHECK(options_.max_group_commit >= 1);
   PQIDX_CHECK(options_.lookup_threads >= 0);
   PQIDX_CHECK(options_.lookup_shards >= 0);
-  PQIDX_CHECK(options_.commit_pipeline_depth >= 1);
-  PQIDX_CHECK(options_.staging_threads >= 0);
   Metrics& metrics = Metrics::Default();
   PQIDX_CHECK(options_.replication_history >= 0);
   PQIDX_CHECK(options_.replication_max_queue >= 1);
@@ -72,9 +70,10 @@ Server::Server(ShardedStore* index, ServerOptions options)
   m_rebuild_us_ = metrics.histogram("server.snapshot_rebuild_us");
   m_snapshot_incremental_us_ =
       metrics.histogram("server.snapshot_incremental_us");
+  m_write_queue_wait_us_ = metrics.histogram("server.write_queue_wait_us");
   m_engine_bytes_ = metrics.gauge("server.resident_bytes.engine");
   m_query_cache_bytes_ = metrics.gauge("server.resident_bytes.query_cache");
-  m_pipeline_depth_ = metrics.gauge("server.pipeline_depth");
+  m_commit_fanout_threads_ = metrics.gauge("server.commit_fanout_threads");
   m_queue_depth_ = metrics.gauge("server.write_queue_depth");
   m_active_connections_ = metrics.gauge("server.active_connections");
   m_snapshot_epoch_ = metrics.gauge("server.snapshot_epoch");
@@ -138,9 +137,16 @@ Status Server::Start(std::unique_ptr<Listener> listener) {
   if (options_.lookup_threads > 0) {
     lookup_pool_ = std::make_unique<ThreadPool>(options_.lookup_threads);
   }
-  if (options_.staging_threads > 0) {
-    staging_pool_ = std::make_unique<ThreadPool>(options_.staging_threads);
+  if (index_->shard_count() > 1) {
+    // The one write-path fan-out that measured a gain: a group commit's
+    // per-shard prepare/finish, never more threads than cores.
+    const int cores =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    commit_fanout_pool_ = std::make_unique<ThreadPool>(
+        std::min(index_->shard_count(), cores));
   }
+  m_commit_fanout_threads_->Set(
+      commit_fanout_pool_ != nullptr ? commit_fanout_pool_->num_threads() : 0);
   if (options_.replication) {
     ReplicationHubOptions hub_options;
     hub_options.history = options_.replication_history;
@@ -216,7 +222,7 @@ void Server::Stop() {
 ServiceStats Server::stats() const {
   ServiceStats stats;
   // shape_ is immutable after Start(); reading replica_.shape() here
-  // without the lock used to race the storage turns mutating replica_.
+  // without the lock used to race the leader mutating replica_.
   stats.p = shape_.p;
   stats.q = shape_.q;
   {
@@ -530,17 +536,16 @@ Status Server::SubmitEdit(PendingEdit* edit) {
     m_rejected_->Increment();
     return UnavailableError("write queue full");
   }
+  if (Metrics::enabled()) edit->enqueued_us = Metrics::NowUs();
   write_queue_.push_back(edit);
   m_queue_depth_->Set(static_cast<int64_t>(write_queue_.size()));
   for (;;) {
     if (edit->done) return edit->result;
-    if (active_commits_ < options_.commit_pipeline_depth &&
-        !write_queue_.empty()) {
-      // Become a batch leader. Optionally hold leadership so concurrent
-      // writers can pile into this batch -- the same window a slow fsync
-      // opens naturally.
-      ++active_commits_;
-      m_pipeline_depth_->Set(active_commits_);
+    // No leader is active, so our edit is still queued: lead its batch.
+    if (!leader_active_) {
+      // Optionally hold leadership so concurrent writers can pile into
+      // this batch -- the same window a slow fsync opens naturally.
+      leader_active_ = true;
       if (options_.commit_hold_us > 0) {
         lock.Unlock();
         std::this_thread::sleep_for(
@@ -548,31 +553,27 @@ Status Server::SubmitEdit(PendingEdit* edit) {
         lock.Lock();
       }
       std::vector<PendingEdit*> batch;
+      const bool timed = Metrics::enabled();
+      const int64_t drained_us = timed ? Metrics::NowUs() : 0;
       while (!write_queue_.empty() &&
              static_cast<int>(batch.size()) < options_.max_group_commit) {
-        batch.push_back(write_queue_.front());
+        PendingEdit* queued = write_queue_.front();
         write_queue_.pop_front();
+        if (timed && queued->enqueued_us > 0) {
+          m_write_queue_wait_us_->Record(drained_us - queued->enqueued_us);
+        }
+        batch.push_back(queued);
       }
       m_queue_depth_->Set(static_cast<int64_t>(write_queue_.size()));
-      if (batch.empty()) {
-        // Another leader drained the queue during the hold window.
-        --active_commits_;
-        m_pipeline_depth_->Set(active_commits_);
-        continue;
-      }
-      // The ticket is drawn under write_mutex_ together with the drain,
-      // so ticket order == queue order and the pipeline's turnstiles
-      // replay the exact serial-leader commit order.
-      const uint64_t ticket = next_ticket_++;
+      // The durable replication cursor for this batch: tickets restart
+      // at 0 every Start, so offset them past the store's cursor (+1
+      // keeps cursor 0 meaning "nothing replicated").
+      const uint64_t cursor = cursor_base_ + ++next_ticket_;
       lock.Unlock();
-      // The durable replication cursor for this batch: pipeline tickets
-      // restart at 0 every Start, so offset them past the store's
-      // cursor (+1 keeps cursor 0 meaning "nothing replicated").
-      CommitBatch(batch, ticket, cursor_base_ + ticket + 1);
+      CommitBatch(batch, cursor);
       lock.Lock();
       for (PendingEdit* done : batch) done->done = true;
-      --active_commits_;
-      m_pipeline_depth_->Set(active_commits_);
+      leader_active_ = false;
       write_cv_.NotifyAll();
       continue;  // our own edit is usually in `batch`; re-check
     }
@@ -580,25 +581,28 @@ Status Server::SubmitEdit(PendingEdit* edit) {
   }
 }
 
-void Server::ValidateGroup(const std::vector<PendingEdit*>& batch,
-                           const std::vector<size_t>& group,
-                           std::vector<uint8_t>* edit_ok,
-                           std::unique_ptr<PqGramIndex>* composed) const {
-  const TreeId id = batch[group.front()]->id;
-  auto pending = overlay_.find(id);
-  const PqGramIndex* current = pending != overlay_.end()
-                                   ? &pending->second.bag
-                                   : replica_.Find(id);
-  for (size_t i : group) {
+void Server::ValidateBatch(const std::vector<PendingEdit*>& batch,
+                           StagedBatch* staged) {
+  // Edits of one tree chain in batch order through `scratch`, mirroring
+  // the catalog checks inside PersistentForestIndex::ApplyBatch.
+  // Crucially this proves minus is a sub-bag of the stored bag, which
+  // the storage layer's UpdateTree contract requires of its callers.
+  ReaderLock lock(&index_mutex_);
+  for (size_t i = 0; i < batch.size(); ++i) {
     PendingEdit& edit = *batch[i];
-    const PqGramIndex* cur =
-        *composed != nullptr ? composed->get() : current;
+    auto composed = staged->scratch.find(edit.id);
+    const PqGramIndex* cur = composed != staged->scratch.end()
+                                 ? &composed->second
+                                 : replica_.Find(edit.id);
+    PersistentForestIndex::BatchEdit batch_edit;
+    batch_edit.id = edit.id;
     if (edit.is_add) {
       if (cur != nullptr) {
         edit.result = FailedPreconditionError("tree already indexed");
         continue;
       }
-      *composed = std::make_unique<PqGramIndex>(edit.add_or_plus);
+      staged->scratch.insert_or_assign(edit.id, edit.add_or_plus);
+      batch_edit.add = &edit.add_or_plus;
     } else {
       if (cur == nullptr) {
         edit.result = NotFoundError("tree not indexed");
@@ -616,112 +620,52 @@ void Server::ValidateGroup(const std::vector<PendingEdit*>& batch,
             "minus bag is not a sub-bag of the stored bag");
         continue;
       }
-      auto next = std::make_unique<PqGramIndex>(*cur);
+      if (composed == staged->scratch.end()) {
+        composed = staged->scratch.emplace(edit.id, *cur).first;
+      }
       for (const auto& [fp, count] : edit.minus.counts()) {
-        next->Remove(fp, count);
+        composed->second.Remove(fp, count);
       }
       for (const auto& [fp, count] : edit.add_or_plus.counts()) {
-        next->Add(fp, count);
+        composed->second.Add(fp, count);
       }
-      *composed = std::move(next);
-    }
-    (*edit_ok)[i] = 1;
-  }
-}
-
-void Server::ValidateBatch(const std::vector<PendingEdit*>& batch,
-                           uint64_t ticket, StagedBatch* staged) {
-  // Validation runs with the index exclusively locked: it reads replica_
-  // and overlay_, and installs this batch's pending bags into overlay_.
-  // The staging workers only *read* shared state (each works on its own
-  // tree group and its own PendingEdit objects), so fanning out under
-  // the exclusive lock is safe.
-  WriterLock lock(&index_mutex_);
-
-  // Group the batch by tree id (batch order preserved within a group):
-  // distinct trees are independent by contract, so their validation +
-  // next-bag materialization parallelize; edits of one tree chain
-  // sequentially, mirroring the catalog checks inside
-  // PersistentForestIndex::ApplyBatch. Crucially this proves minus is a
-  // sub-bag of the stored bag, which the storage layer's UpdateTree
-  // contract requires of its callers.
-  std::vector<std::vector<size_t>> groups;
-  {
-    std::map<TreeId, size_t> group_of;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      auto [it, inserted] = group_of.try_emplace(batch[i]->id, groups.size());
-      if (inserted) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-  }
-  std::vector<uint8_t> edit_ok(batch.size(), 0);
-  // One composed next bag per group that staged anything.
-  std::vector<std::unique_ptr<PqGramIndex>> group_bags(groups.size());
-  // no-tsa: the lambda runs on staging workers that do not themselves
-  // hold index_mutex_ -- the leader (this thread) holds it exclusively
-  // for the whole fan-out and the workers touch disjoint slots, which
-  // is ValidateGroup's documented PQIDX_REQUIRES contract.
-  auto validate_group = [&](int64_t g) PQIDX_NO_THREAD_SAFETY_ANALYSIS {
-    ValidateGroup(batch, groups[static_cast<size_t>(g)], &edit_ok,
-                  &group_bags[static_cast<size_t>(g)]);
-  };
-  if (staging_pool_ != nullptr && groups.size() > 1) {
-    staging_pool_->ParallelFor(static_cast<int64_t>(groups.size()),
-                               validate_group);
-  } else {
-    for (size_t g = 0; g < groups.size(); ++g) {
-      validate_group(static_cast<int64_t>(g));
-    }
-  }
-
-  // Assemble the store edits in batch order and stage the composed bags:
-  // `scratch` owns the copy this batch will apply to replica_ in its
-  // storage turn; overlay_ gets its own copy tagged with our ticket so
-  // successor batches validate against the pending state. (Two copies on
-  // purpose: a successor may overwrite the overlay entry with a further
-  // composed bag before our storage turn runs.)
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!edit_ok[i]) continue;
-    PendingEdit& edit = *batch[i];
-    PersistentForestIndex::BatchEdit batch_edit;
-    batch_edit.id = edit.id;
-    if (edit.is_add) {
-      batch_edit.add = &edit.add_or_plus;
-    } else {
       batch_edit.plus = &edit.add_or_plus;
       batch_edit.minus = &edit.minus;
     }
     staged->edits.push_back(batch_edit);
     staged->edit_to_batch.push_back(i);
   }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (group_bags[g] == nullptr) continue;
-    const TreeId id = batch[groups[g].front()]->id;
-    overlay_.insert_or_assign(id, PendingBag{*group_bags[g], ticket});
-    staged->scratch.insert_or_assign(id, std::move(*group_bags[g]));
-  }
-  staged->failure_stamp = failure_stamp_;
 }
 
 void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
-                         uint64_t ticket, uint64_t cursor) {
+                         uint64_t cursor) {
   const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
   PersistentForestIndex::ApplyBatchTimings timings;
-
-  // Phase V (ticket-ordered): validation + δ-materialization. At
-  // pipeline depth d this overlaps the WAL write/fsync of up to d-1
-  // predecessor batches.
-  validate_turnstile_.Await(ticket);
   StagedBatch staged;
-  ValidateBatch(batch, ticket, &staged);
-  validate_turnstile_.Finish();
+  ValidateBatch(batch, &staged);
+  if (staged.edits.empty()) return;
 
-  // Re-encode the batch's bags as delta-frame chunks in the overlap
-  // zone (off both turnstiles, so it costs pipelined batches nothing).
-  // Pre-encoding before the commit is exact: a staged edit only fails
-  // together with its whole batch, which then publishes nothing.
+  std::vector<Status> results;
+  const Status committed =
+      index_->ApplyBatch(staged.edits, &results, &timings,
+                         commit_fanout_pool_.get(), cursor);
+  int64_t applied = 0;
+  for (size_t j = 0; j < staged.edits.size(); ++j) {
+    batch[staged.edit_to_batch[j]]->result = results[j];
+    // The replica validation mirrors the catalog validation inside
+    // ApplyBatch, so a staged edit can only fail with the whole batch.
+    PQIDX_DCHECK(results[j].ok() == committed.ok());
+    if (results[j].ok()) ++applied;
+  }
+  // A failed batch was rolled back by the store: nothing to publish.
+  if (!committed.ok() || applied == 0) return;
+
+  // Publish the batch to readers: merge its next bags into the next
+  // snapshot epoch and swap it in. This reads only `staged` (never
+  // replica_), so it runs with no index lock held.
+  PublishEngine(staged.scratch);
   std::vector<std::string> chunks;
-  if (hub_ != nullptr && !staged.edits.empty()) {
+  if (hub_ != nullptr) {
     std::vector<DeltaEntryView> views;
     views.reserve(staged.edits.size());
     for (const PersistentForestIndex::BatchEdit& edit : staged.edits) {
@@ -734,83 +678,21 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
     }
     chunks = EncodeDeltaFrameChunks(cursor, Metrics::NowUs(), views);
   }
-
-  // Phase S (ticket-ordered): the WAL transaction, the replica delta,
-  // and the snapshot publish. Storage commits run strictly in ticket
-  // order, so the on-disk WAL sees the same atomic, ordered transactions
-  // as the serial leader and the crash matrix's before/after-batch
-  // guarantee carries over unchanged.
-  storage_turnstile_.Await(ticket);
-  int64_t applied = 0;
-  if (!staged.edits.empty()) {
-    // A predecessor batch that failed after our validation invalidates
-    // our premises (we validated against its pending overlay bags):
-    // abort before touching the store.
-    bool aborted;
-    {
-      ReaderLock lock(&index_mutex_);
-      aborted = failure_stamp_ != staged.failure_stamp;
+  {
+    WriterLock lock(&index_mutex_);
+    for (auto& [id, bag] : staged.scratch) {
+      replica_.AddIndex(id, std::move(bag));
     }
-    Status committed;
-    std::vector<Status> results;
-    if (aborted) {
-      committed = FailedPreconditionError(
-          "aborted: an earlier pipelined batch failed");
-      results.assign(staged.edits.size(), committed);
-    } else {
-      committed = index_->ApplyBatch(staged.edits, &results, &timings,
-                                     staging_pool_.get(), cursor);
-    }
-    for (size_t j = 0; j < staged.edits.size(); ++j) {
-      PendingEdit& edit = *batch[staged.edit_to_batch[j]];
-      edit.result = results[j];
-      // The replica validation mirrors the catalog validation inside
-      // ApplyBatch, so a staged edit can only fail with the whole batch.
-      PQIDX_DCHECK(results[j].ok() == committed.ok());
-      if (results[j].ok()) ++applied;
-    }
-    if (committed.ok() && applied > 0) {
-      // Publish the batch to readers: merge its next bags into the next
-      // snapshot epoch and swap it in. This reads only `staged` (never
-      // replica_), so it runs with no index lock held, and INSIDE the
-      // storage turn so epochs advance in ticket order.
-      PublishEngine(staged.scratch);
-      {
-        WriterLock lock(&index_mutex_);
-        for (auto& [id, bag] : staged.scratch) {
-          replica_.AddIndex(id, std::move(bag));
-          // Retire our overlay entries; a successor batch may already
-          // have replaced one with its own further-composed bag, in
-          // which case it stays (tagged with the successor's ticket).
-          auto it = overlay_.find(id);
-          if (it != overlay_.end() && it->second.ticket == ticket) {
-            overlay_.erase(it);
-          }
-        }
-        // Advance before Publish (below) so a subscriber registering
-        // under a ReaderLock either sees this cursor in replica_ or
-        // gets this frame from the hub -- never neither.
-        replica_ticket_ = cursor;
-      }
-      // Fan out to followers, also inside the storage turn so the hub
-      // sees strictly increasing tickets. Publish never blocks on a
-      // subscriber (bounded queues + drop policy), so this adds only
-      // the fan-out memcpys to the commit path.
-      if (hub_ != nullptr) hub_->Publish(cursor, std::move(chunks));
-    } else {
-      // The store rolled the whole batch back. Successors may have
-      // validated against our (now vacuous) overlay bags: clear the
-      // overlay and bump the failure stamp so they abort at their
-      // storage turn instead of applying edits premised on ours.
-      WriterLock lock(&index_mutex_);
-      overlay_.clear();
-      ++failure_stamp_;
-      applied = 0;
-    }
+    // Advance before Publish (below) so a subscriber registering under
+    // a ReaderLock either sees this cursor in replica_ or gets this
+    // frame from the hub -- never neither.
+    replica_ticket_ = cursor;
   }
-  storage_turnstile_.Finish();
+  // Fan out to followers. Publish never blocks on a subscriber (bounded
+  // queues + drop policy), so this adds only the fan-out memcpys to the
+  // commit path.
+  if (hub_ != nullptr) hub_->Publish(cursor, std::move(chunks));
 
-  if (applied == 0) return;
   edits_applied_.fetch_add(applied);
   edit_commits_.fetch_add(1);
   m_edits_applied_->Add(applied);
@@ -869,9 +751,9 @@ void Server::ServeSubscriber(const std::shared_ptr<Connection>& conn,
   ack.q = static_cast<uint8_t>(shape_.q);
   std::vector<std::string> snapshot_chunks;
   {
-    // Register-then-capture under one reader scope: the storage turn
-    // advances replica_ + replica_ticket_ under the writer lock BEFORE
-    // its hub Publish, so a frame is either reflected in the image
+    // Register-then-capture under one reader scope: the leader advances
+    // replica_ + replica_ticket_ under the writer lock BEFORE its hub
+    // Publish, so a frame is either reflected in the image
     // encoded here or enqueued on the fresh subscription -- never lost,
     // and duplicates are filtered by the subscription's skip_to_.
     ReaderLock lock(&index_mutex_);
@@ -963,23 +845,17 @@ Status Server::ApplyReplicated(std::vector<DeltaFrame> frames) {
     }
   }
   if (batch.empty()) return Status::Ok();
-  uint64_t ticket;
   {
     MutexLock lock(&write_mutex_);
-    while (active_commits_ >= options_.commit_pipeline_depth) {
-      write_cv_.Wait(&write_mutex_);
-    }
-    ++active_commits_;
-    m_pipeline_depth_->Set(active_commits_);
-    ticket = next_ticket_++;
+    while (leader_active_) write_cv_.Wait(&write_mutex_);
+    leader_active_ = true;
   }
-  CommitBatch(batch, ticket, cursor);
+  CommitBatch(batch, cursor);
   {
     MutexLock lock(&write_mutex_);
-    --active_commits_;
-    m_pipeline_depth_->Set(active_commits_);
-    write_cv_.NotifyAll();
+    leader_active_ = false;
   }
+  write_cv_.NotifyAll();
   for (const PendingEdit* edit : batch) {
     if (!edit->result.ok()) {
       // The leader committed this edit; a local rejection means the

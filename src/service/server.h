@@ -17,25 +17,19 @@
 //     group-commit leader derives the next snapshot from the previous
 //     one and the batch's next bags and atomically swaps it in (the
 //     ForestIndex replica is only read by the write path's validation);
-//   * writes go through group commit: a writer enqueues its edit and the
-//     first free writer becomes a batch leader, drains the queue, and
-//     applies the whole batch as ONE WAL transaction
-//     (PersistentForestIndex::ApplyBatch -- one fsync pair for the
-//     entire batch). Writers submitted while a leader is committing are
-//     coalesced into the next batch, amortizing durability cost exactly
-//     where the paper's incremental update makes the writes themselves
-//     cheap;
-//   * group commits pipeline (`commit_pipeline_depth`): up to that many
-//     batch leaders run at once, each batch holding a ticket drawn in
-//     queue order. Validation + δ-materialization run in ticket order
-//     against the replica plus an overlay of the predecessors' pending
-//     bags, overlapping the predecessor's WAL write/fsync; the storage
-//     commits themselves also run in ticket order, so the WAL sees the
-//     same strictly ordered, atomic transactions as the serial leader
-//     and the crash guarantee (a recovered store is exactly the state
-//     before or after a batch) is unchanged. If a batch fails at the
-//     storage layer, in-flight successors that validated against its
-//     pending bags abort with an error before touching the store;
+//   * writes go through group commit: a writer enqueues its edit and,
+//     when no batch leader is active, becomes the leader: it drains the
+//     queue and applies the whole batch as ONE WAL transaction
+//     (ShardedStore::ApplyBatch -- one fsync pair per touched shard).
+//     Writers submitted while a leader is committing are coalesced into
+//     the next batch, amortizing durability cost exactly where the
+//     paper's incremental update makes the writes themselves cheap.
+//     Exactly one leader commits at a time, so the WAL, the snapshot
+//     publish, the replica delta and the replication hub all see batches
+//     in queue order, and a recovered store is exactly the state before
+//     or after a batch. On a store of two or more shards the leader fans
+//     the group commit's per-shard prepare/finish across a pool sized
+//     from the store (the only write-path parallelism);
 //   * snapshots are published incrementally: the leader derives the next
 //     LookupEngine epoch from the previous one via
 //     LookupEngine::ApplyDelta, merging the batch's bags into the shards
@@ -107,18 +101,6 @@ struct ServerOptions {
   // (LookupEngine::ApplyDelta) makes that cost a linear merge of the
   // shards the batch touched instead of O(total postings).
   int lookup_shards = 0;
-  // How many group-commit batches may be in flight at once (>= 1).
-  // 1 is the classic serial leader. At depth d, batch N+1's validation
-  // and δ-materialization overlap batch N's WAL write + fsync; the WAL
-  // transactions themselves stay strictly ordered.
-  int commit_pipeline_depth = 1;
-  // Dedicated threads for the write path's parallel work: per-tree
-  // validation + δ-materialization during group commit, and the
-  // flatten/hash/merge half of PersistentForestIndex::ApplyBatch's
-  // δ-staging. 0 stages inline on the leader thread. This pool is
-  // separate from the connection pool (leaders run on connection
-  // threads and a pool must not wait on itself).
-  int staging_threads = 0;
   // Replication fan-out (service/replication.h): when on, every
   // committed batch is published to subscribed followers and kSubscribe
   // connections are served. Off removes the hub (and the per-commit
@@ -198,6 +180,9 @@ class Server {
     PqGramIndex minus;
     Status result;
     bool done = false;
+    // Metrics::NowUs() at enqueue (0 with timing off): the drain records
+    // the difference into server.write_queue_wait_us.
+    int64_t enqueued_us = 0;
   };
 
   void AcceptLoop() PQIDX_EXCLUDES(connections_mutex_);
@@ -225,57 +210,38 @@ class Server {
   // returns its result. The calling thread may serve as batch leader.
   Status SubmitEdit(PendingEdit* edit) PQIDX_EXCLUDES(write_mutex_);
 
-  // One validated batch between its two pipeline phases: the composed
-  // next bag per touched tree, the store edits in batch order, and the
-  // failure stamp observed at validation (a stamp change before the
-  // storage turn means a predecessor batch this validation may have
-  // depended on failed, so the batch must abort).
+  // One validated batch: the composed next bag per touched tree, and the
+  // store edits in batch order with their positions in the batch.
   struct StagedBatch {
     std::map<TreeId, PqGramIndex> scratch;
     std::vector<PersistentForestIndex::BatchEdit> edits;
     std::vector<size_t> edit_to_batch;
-    uint64_t failure_stamp = 0;
   };
 
-  // Runs one batch through the pipeline: awaits the validate turn for
-  // `ticket`, validates + materializes (ValidateBatch), then awaits the
-  // storage turn, commits the WAL transaction (durably stamped with
+  // Runs one batch as the sole leader: validates + composes it
+  // (ValidateBatch), commits the WAL transaction (durably stamped with
   // `cursor`, the replication cursor), publishes the next snapshot
-  // epoch, applies the replica delta, and hands the batch's delta
-  // frame to the hub.
-  void CommitBatch(const std::vector<PendingEdit*>& batch, uint64_t ticket,
-                   uint64_t cursor)
+  // epoch, applies the replica delta, and hands the batch's delta frame
+  // to the hub. The caller holds the leader slot (leader_active_).
+  void CommitBatch(const std::vector<PendingEdit*>& batch, uint64_t cursor)
       PQIDX_EXCLUDES(index_mutex_, engine_mutex_);
 
-  // Validation + δ-materialization under index_mutex_ held exclusively:
-  // checks each edit against the replica overlaid with the predecessors'
-  // pending bags (and a local overlay so edits earlier in the batch are
-  // visible to later ones), composes the next bag per touched tree, and
-  // installs those bags into overlay_ tagged with `ticket` for successor
-  // batches. Independent trees fan out across staging_pool_.
+  // Validation + next-bag composition under index_mutex_ held shared:
+  // checks each edit, in batch order, against the replica overlaid with
+  // the bags composed earlier in the batch (so an add and later updates
+  // of one tree chain), and fills `staged`. Reads shared state only;
+  // the replica changes only in CommitBatch, which the leader slot
+  // serializes with this.
   void ValidateBatch(const std::vector<PendingEdit*>& batch,
-                     uint64_t ticket, StagedBatch* staged)
-      PQIDX_EXCLUDES(index_mutex_);
-
-  // Validates + composes the next bag for one same-tree group of a
-  // batch. Requires the leader's exclusive index_mutex_: it reads
-  // replica_ and overlay_ and writes only its own group's slots in
-  // `edit_ok` / `composed` (which is how fanning the groups across
-  // staging workers while the *leader* holds the lock stays sound --
-  // see the no-tsa escape at the call site in ValidateBatch).
-  void ValidateGroup(const std::vector<PendingEdit*>& batch,
-                     const std::vector<size_t>& group,
-                     std::vector<uint8_t>* edit_ok,
-                     std::unique_ptr<PqGramIndex>* composed) const
-      PQIDX_REQUIRES(index_mutex_);
+                     StagedBatch* staged) PQIDX_EXCLUDES(index_mutex_);
 
   // The current lookup snapshot (never null after Start()).
   std::shared_ptr<const LookupEngine> EngineSnapshot() const
       PQIDX_EXCLUDES(engine_mutex_);
   // Publishes the next snapshot epoch, merged from the previous one and
   // `bags` (a committed batch's next bag per touched tree). Reads no
-  // server state but the current snapshot; the storage-turn holder
-  // calls it so epochs advance in ticket order.
+  // server state but the current snapshot; the batch leader calls it,
+  // so epochs advance in batch order.
   void PublishEngine(const std::map<TreeId, PqGramIndex>& bags)
       PQIDX_EXCLUDES(engine_mutex_);
   // Swaps in `next` (compiled in `us` microseconds), reclaims the dead
@@ -291,27 +257,15 @@ class Server {
   // request handlers read it lock-free.
   PqShape shape_;
 
-  // Write-path state: replica_ is the mutable bag-level view batch
-  // leaders validate against and mutate together with the store;
-  // overlay_ holds the pending (validated, not yet committed) next bags
-  // of in-flight batches, keyed by tree and tagged with the staging
-  // batch's ticket. Both live under index_mutex_; replica_ mutation is
-  // additionally serialized by the storage turnstile. Lookups do NOT
-  // read either.
+  // Write-path state: replica_ is the bag-level view batch leaders
+  // validate against and update together with the store. Lookups do
+  // NOT read it.
   mutable SharedMutex index_mutex_;
   ForestIndex replica_ PQIDX_GUARDED_BY(index_mutex_);
-  struct PendingBag {
-    PqGramIndex bag;
-    uint64_t ticket;
-  };
-  std::map<TreeId, PendingBag> overlay_ PQIDX_GUARDED_BY(index_mutex_);
-  // Bumped whenever a batch fails after validation; successors compare
-  // their validation-time snapshot of it before touching the store.
-  uint64_t failure_stamp_ PQIDX_GUARDED_BY(index_mutex_) = 0;
-  // The replication cursor replica_ reflects: the storage-turn holder
-  // advances it together with the replica delta, so a subscriber that
-  // registers and snapshots replica_ under one ReaderLock gets an image
-  // consistent with this ticket (service/replication.h).
+  // The replication cursor replica_ reflects: the leader advances it
+  // together with the replica delta, so a subscriber that registers and
+  // snapshots replica_ under one ReaderLock gets an image consistent
+  // with this ticket (service/replication.h).
   uint64_t replica_ticket_ PQIDX_GUARDED_BY(index_mutex_) = 0;
 
   // Read-path state: the immutable snapshot lookups score against.
@@ -324,24 +278,22 @@ class Server {
   // new snapshot's shard uids after every swap.
   std::unique_ptr<QueryCache> query_cache_;
   std::unique_ptr<ThreadPool> lookup_pool_;
-  // Write-path staging workers (ServerOptions::staging_threads).
-  std::unique_ptr<ThreadPool> staging_pool_;
+  // Group-commit fan-out across store shards: min(shard count, cores)
+  // workers on a store of two or more shards, null on a single shard.
+  std::unique_ptr<ThreadPool> commit_fanout_pool_;
 
-  // Group-commit queue. Tickets are drawn under write_mutex_ at batch
-  // drain time, so ticket order == queue order.
+  // Group-commit queue and the single leader slot: a writer (or
+  // ApplyReplicated) sets leader_active_ to commit a batch and clears it
+  // when done, so exactly one CommitBatch runs at a time.
   Mutex write_mutex_;
   CondVar write_cv_;
   std::deque<PendingEdit*> write_queue_ PQIDX_GUARDED_BY(write_mutex_);
-  int active_commits_ PQIDX_GUARDED_BY(write_mutex_) = 0;
+  bool leader_active_ PQIDX_GUARDED_BY(write_mutex_) = false;
+  // Batches drained by leaders since Start.
   uint64_t next_ticket_ PQIDX_GUARDED_BY(write_mutex_) = 0;
 
-  // Pipeline turnstiles (common/sync.h): each phase of batch N starts
-  // only after the same phase of batch N-1 finished its turn.
-  Turnstile validate_turnstile_;
-  Turnstile storage_turnstile_;
-
-  // Replication fan-out (null when disabled). Pipeline tickets restart
-  // at 0 every Start, so the durable replication cursor is derived:
+  // Replication fan-out (null when disabled). Batch tickets restart at
+  // 0 every Start, so the durable replication cursor is derived:
   // cursor_base_ (the store's cursor at Start) + ticket + 1 on a
   // leader, the streamed frame's own ticket on a follower.
   std::unique_ptr<ReplicationHub> hub_;
@@ -380,9 +332,10 @@ class Server {
   Histogram* m_batch_edits_;
   Histogram* m_rebuild_us_;
   Histogram* m_snapshot_incremental_us_;
+  Histogram* m_write_queue_wait_us_;
   Gauge* m_engine_bytes_;
   Gauge* m_query_cache_bytes_;
-  Gauge* m_pipeline_depth_;
+  Gauge* m_commit_fanout_threads_;
   Gauge* m_queue_depth_;
   Gauge* m_active_connections_;
   Gauge* m_snapshot_epoch_;

@@ -96,12 +96,6 @@ void StoreEntry(uint8_t* page, int slot, const Entry& entry) {
 
 }  // namespace
 
-uint32_t LinearHashTable::StagingRegion(uint32_t tree, uint64_t fp,
-                                        uint32_t regions) {
-  PQIDX_DCHECK(regions > 0);
-  return static_cast<uint32_t>(KeyHash(tree, fp) % regions);
-}
-
 uint32_t LinearHashTable::BucketForKey(uint32_t tree, uint64_t fp) const {
   return BucketFor(KeyHash(tree, fp));
 }

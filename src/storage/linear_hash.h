@@ -70,17 +70,9 @@ class LinearHashTable {
 
   // Snapshot of the destination bucket for a key under the *current*
   // level/split state. Callers use it to sort staged deltas so the
-  // serial apply clusters its page touches; splits triggered mid-apply
+  // apply clusters its page touches; splits triggered mid-apply
   // may relocate later keys, so this is a sort key, not an invariant.
   uint32_t BucketForKey(uint32_t tree, uint64_t fp) const;
-
-  // Deterministic partition of the key space into `regions` classes,
-  // derived from the same hash BucketFor consumes. Worker threads
-  // pre-aggregate deltas per region so the (single-threaded) table
-  // mutation can then apply them region by region; keys in one region
-  // share their low hash bits, i.e. they collapse onto congruent buckets.
-  static uint32_t StagingRegion(uint32_t tree, uint64_t fp,
-                                uint32_t regions);
 
   // Verifies meta/bucket invariants (entry counts, chain structure,
   // entries hashed to the right bucket). Aborts on violation; tests.

@@ -411,8 +411,8 @@ Status Pager::CommitWithCrash(CrashPoint point) {
     (void)SyncFile(file_);
   }
   // Simulate process death: drop all volatile state without cleanup.
-  // Poison the handle so concurrent users (a server pipelining further
-  // commits through this store) get clean errors instead of touching
+  // Poison the handle so later users (a server committing further
+  // batches through this store) get clean errors instead of touching
   // the dead file; only reopening recovers.
   CrashAbandon();
   return Status::Ok();

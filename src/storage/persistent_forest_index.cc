@@ -1,7 +1,6 @@
 #include "storage/persistent_forest_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/metrics.h"
@@ -48,49 +47,23 @@ void Store(uint8_t* page, int offset, T value) {
   std::memcpy(page + offset, &value, sizeof(T));
 }
 
-// One (tree, fp) tuple delta tagged with its staging region and its
-// destination bucket snapshot; the unit of the parallel δ-phase
-// (flatten/hash in parallel, merge per region in parallel, apply
-// serially in bucket order so page touches cluster).
+// One (tree, fp) tuple delta tagged with its destination bucket
+// snapshot: the unit of the δ-phase.
 struct StagedDelta {
-  uint32_t region;
   uint32_t bucket;
   uint32_t tree;
   uint64_t fp;
   int64_t delta;
 };
 
-// Bench hook (SetBucketSortEnabled): the bucket-clustered apply order
-// is on by default; BENCH_WRITE flips it off to measure the win.
-std::atomic<bool> g_bucket_sort_enabled{true};
-
-// How many staging regions a pool of `lanes` workers gets. More regions
-// than lanes keeps the merge balanced when the hash skews; the cap keeps
-// the per-region fixed cost negligible for small batches.
-uint32_t StagingRegions(int lanes) {
-  return static_cast<uint32_t>(std::min(64, std::max(1, lanes * 2)));
-}
-
-// Gathers region `region`'s tuples from the per-edit flats, orders them
-// by (bucket, key) -- equal keys share a bucket, so coalescing below
-// still sees duplicates adjacent -- and coalesces duplicate keys into
-// net deltas (zero nets are dropped entirely). The bucket-major order
-// is what clusters the serial apply's page touches; with the bench
-// hook off it degrades to plain key order. Safe to run for distinct
-// regions concurrently.
-void MergeRegionRun(const std::vector<std::vector<StagedDelta>>& flat,
-                    uint32_t region, std::vector<StagedDelta>* run) {
-  for (const std::vector<StagedDelta>& edit_deltas : flat) {
-    for (const StagedDelta& d : edit_deltas) {
-      if (d.region == region) run->push_back(d);
-    }
-  }
-  const bool by_bucket = g_bucket_sort_enabled.load(std::memory_order_relaxed);
+// Orders `run` by (bucket, key) -- equal keys share a bucket, so
+// duplicates stay adjacent -- and coalesces duplicate keys into net
+// deltas (zero nets are dropped entirely). The bucket-major order is
+// what clusters the table apply's page touches.
+void CoalesceByBucket(std::vector<StagedDelta>* run) {
   std::sort(run->begin(), run->end(),
-            [by_bucket](const StagedDelta& a, const StagedDelta& b) {
-              if (by_bucket && a.bucket != b.bucket) {
-                return a.bucket < b.bucket;
-              }
+            [](const StagedDelta& a, const StagedDelta& b) {
+              if (a.bucket != b.bucket) return a.bucket < b.bucket;
               return a.tree < b.tree || (a.tree == b.tree && a.fp < b.fp);
             });
   size_t w = 0;
@@ -113,14 +86,6 @@ void MergeRegionRun(const std::vector<std::vector<StagedDelta>>& flat,
 }
 
 }  // namespace
-
-void PersistentForestIndex::SetBucketSortEnabled(bool enabled) {
-  g_bucket_sort_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool PersistentForestIndex::bucket_sort_enabled() {
-  return g_bucket_sort_enabled.load(std::memory_order_relaxed);
-}
 
 StatusOr<std::unique_ptr<PersistentForestIndex>>
 PersistentForestIndex::Create(const std::string& path, PqShape shape,
@@ -380,15 +345,16 @@ Status PersistentForestIndex::AddTree(TreeId id, const Tree& tree) {
 
 Status PersistentForestIndex::BulkAdd(
     const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
-    ThreadPool* pool, uint64_t cursor) {
+    uint64_t cursor) {
   TxnOptions txn;
   txn.cursor = cursor;
-  return BulkAdd(bags, pool, txn);
+  return BulkAdd(bags, txn);
 }
 
 Status PersistentForestIndex::BulkAdd(
     const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
-    ThreadPool* pool, const TxnOptions& txn) {
+    const TxnOptions& txn) {
+  size_t tuples = 0;
   for (const auto& [id, bag] : bags) {
     if (!(bag->shape() == shape_)) {
       return InvalidArgumentError("index shape does not match the store");
@@ -397,41 +363,20 @@ Status PersistentForestIndex::BulkAdd(
       return FailedPreconditionError("tree " + std::to_string(id) +
                                      " already in the store");
     }
+    tuples += bag->counts().size();
   }
-  const uint32_t regions =
-      pool == nullptr ? 1 : StagingRegions(pool->num_threads());
-  std::vector<std::vector<StagedDelta>> flat(bags.size());
-  auto flatten = [&](int64_t j) {
-    const auto& [id, bag] = bags[static_cast<size_t>(j)];
+  std::vector<StagedDelta> run;
+  run.reserve(tuples);
+  for (const auto& [id, bag] : bags) {
     const uint32_t tree = static_cast<uint32_t>(id);
-    std::vector<StagedDelta>& out = flat[static_cast<size_t>(j)];
-    out.reserve(bag->counts().size());
     for (const auto& [fp, count] : bag->counts()) {
-      out.push_back({LinearHashTable::StagingRegion(tree, fp, regions),
-                     table_.BucketForKey(tree, fp), tree, fp, count});
-    }
-  };
-  std::vector<std::vector<StagedDelta>> runs(regions);
-  auto merge = [&](int64_t r) {
-    MergeRegionRun(flat, static_cast<uint32_t>(r),
-                   &runs[static_cast<size_t>(r)]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(flat.size()), flatten);
-    pool->ParallelFor(static_cast<int64_t>(regions), merge);
-  } else {
-    for (size_t j = 0; j < flat.size(); ++j) {
-      flatten(static_cast<int64_t>(j));
-    }
-    for (uint32_t r = 0; r < regions; ++r) {
-      merge(static_cast<int64_t>(r));
+      run.push_back({table_.BucketForKey(tree, fp), tree, fp, count});
     }
   }
-  for (const std::vector<StagedDelta>& run : runs) {
-    for (const StagedDelta& d : run) {
-      Status status = table_.AddDelta(d.tree, d.fp, d.delta);
-      if (!status.ok()) return RollbackAndReload(status);
-    }
+  CoalesceByBucket(&run);
+  for (const StagedDelta& d : run) {
+    Status status = table_.AddDelta(d.tree, d.fp, d.delta);
+    if (!status.ok()) return RollbackAndReload(status);
   }
   for (const auto& [id, bag] : bags) catalog_[id] = bag->size();
   Status stored = StoreCatalog();
@@ -446,23 +391,20 @@ Status PersistentForestIndex::BulkAdd(
 Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
                                          std::vector<Status>* results,
                                          ApplyBatchTimings* timings,
-                                         ThreadPool* pool, uint64_t cursor) {
+                                         uint64_t cursor) {
   TxnOptions txn;
   txn.cursor = cursor;
-  return ApplyBatch(edits, results, timings, pool, txn);
+  return ApplyBatch(edits, results, timings, txn);
 }
 
 Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
                                          std::vector<Status>* results,
                                          ApplyBatchTimings* timings,
-                                         ThreadPool* pool,
                                          const TxnOptions& txn) {
   static Counter* const m_batches =
       Metrics::Default().counter("apply_batch.batches");
   static Counter* const m_edits =
       Metrics::Default().counter("apply_batch.edits_staged");
-  static Histogram* const m_stage_parallelism =
-      Metrics::Default().histogram("apply_batch.stage_parallelism");
   static Histogram* const m_batch_edits =
       Metrics::Default().histogram("apply_batch.batch_edits");
   static Histogram* const m_validate_us =
@@ -547,11 +489,9 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
     return Status::Ok();  // nothing to commit
   }
 
-  // Phase 2: stage the tuple deltas. Any failure here (I/O, or a
-  // negative net the stored bag cannot cover) aborts the whole
-  // transaction. Flattening/hashing and the per-region net-delta merge
-  // are side-effect-free and fan out across `pool`; only the final
-  // region-ordered apply touches the (non-thread-safe) table and pager.
+  // Phase 2: stage the tuple deltas, netted per key in bucket order. Any
+  // failure here (I/O, or a negative net the stored bag cannot cover)
+  // aborts the whole transaction.
   auto fail_batch = [&](Status cause) {
     for (size_t i = 0; i < edits.size(); ++i) {
       if (staged[i]) (*results)[i] = cause;
@@ -559,60 +499,33 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
     if (timings != nullptr) *timings = split;
     return RollbackAndReload(std::move(cause));
   };
-  std::vector<size_t> staged_edits;
-  staged_edits.reserve(static_cast<size_t>(num_staged));
+  std::vector<StagedDelta> run;
   for (size_t i = 0; i < edits.size(); ++i) {
-    if (staged[i]) staged_edits.push_back(i);
-  }
-  const int lanes = pool == nullptr ? 1 : pool->num_threads();
-  const uint32_t regions = pool == nullptr ? 1 : StagingRegions(lanes);
-  std::vector<std::vector<StagedDelta>> flat(staged_edits.size());
-  auto flatten = [&](int64_t j) {
-    const BatchEdit& edit = edits[staged_edits[static_cast<size_t>(j)]];
+    if (!staged[i]) continue;
+    const BatchEdit& edit = edits[i];
     const uint32_t tree = static_cast<uint32_t>(edit.id);
-    std::vector<StagedDelta>& out = flat[static_cast<size_t>(j)];
     auto emit = [&](const PqGramIndex& bag, int64_t sign) {
       for (const auto& [fp, count] : bag.counts()) {
-        out.push_back({LinearHashTable::StagingRegion(tree, fp, regions),
-                       table_.BucketForKey(tree, fp), tree, fp,
-                       sign * count});
+        run.push_back({table_.BucketForKey(tree, fp), tree, fp, sign * count});
       }
     };
     if (edit.add != nullptr) {
-      out.reserve(edit.add->counts().size());
       emit(*edit.add, 1);
     } else {
-      out.reserve(edit.minus->counts().size() +
-                  edit.plus->counts().size());
       emit(*edit.minus, -1);
       emit(*edit.plus, 1);
     }
-  };
-  std::vector<std::vector<StagedDelta>> runs(regions);
-  auto merge = [&](int64_t r) {
-    MergeRegionRun(flat, static_cast<uint32_t>(r),
-                   &runs[static_cast<size_t>(r)]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(flat.size()), flatten);
-    pool->ParallelFor(static_cast<int64_t>(regions), merge);
-  } else {
-    for (size_t j = 0; j < flat.size(); ++j) {
-      flatten(static_cast<int64_t>(j));
-    }
-    merge(0);
   }
+  CoalesceByBucket(&run);
   // The whole batch is one WAL transaction, so the hash meta page only
   // needs to be written once: defer its per-entry updates and flush
   // before the catalog/cursor writes join the same commit. A failure
   // lands in RollbackAndReload, whose re-Attach restores the cached
   // meta fields and ends the deferral window.
   table_.DeferMetaUpdates();
-  for (const std::vector<StagedDelta>& run : runs) {
-    for (const StagedDelta& d : run) {
-      Status status = table_.AddDelta(d.tree, d.fp, d.delta);
-      if (!status.ok()) return fail_batch(std::move(status));
-    }
+  for (const StagedDelta& d : run) {
+    Status status = table_.AddDelta(d.tree, d.fp, d.delta);
+    if (!status.ok()) return fail_batch(std::move(status));
   }
   if (Status flushed = table_.FlushDeferredMeta(); !flushed.ok()) {
     return fail_batch(std::move(flushed));
@@ -644,7 +557,6 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
   m_batches->Increment();
   m_edits->Add(num_staged);
   if (timed) {
-    m_stage_parallelism->Record(lanes);
     m_batch_edits->Record(num_staged);
     m_validate_us->Record(split.validate_us);
     m_delta_us->Record(split.delta_us);

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/pqgram_index.h"
 #include "edit/edit_log.h"
@@ -92,14 +91,12 @@ class PersistentForestIndex {
   Status AddTree(TreeId id, const Tree& tree);
 
   // Registers many bags under one commit (one WAL transaction, one fsync
-  // pair): the fast path for initial ingest. All-or-nothing. With `pool`,
-  // the tuple deltas are flattened, hashed, and grouped by staging region
-  // in parallel before the (single-threaded) table apply. A nonzero
+  // pair): the fast path for initial ingest. All-or-nothing. A nonzero
   // `cursor` advances the replication cursor in the same transaction
   // (followers installing a leader snapshot pass the snapshot's ticket).
   Status BulkAdd(
       const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
-      ThreadPool* pool = nullptr, uint64_t cursor = 0);
+      uint64_t cursor = 0);
 
   // Per-transaction stamps and commit mode for ApplyBatch/BulkAdd.
   // `cursor`/`ticket` are written to the meta page inside the batch's
@@ -116,7 +113,7 @@ class PersistentForestIndex {
 
   Status BulkAdd(
       const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
-      ThreadPool* pool, const TxnOptions& txn);
+      const TxnOptions& txn);
 
   // One edit of a group-committed batch (see ApplyBatch): either an
   // AddIndex (`add` set) or an UpdateTree (`plus` and `minus` set).
@@ -152,17 +149,13 @@ class PersistentForestIndex {
   // phase split of this run (as far as it got); the same split also
   // lands in the "apply_batch.*" registry histograms on success.
   //
-  // With `pool`, the δ-phase fans out: each staged edit's bags are
-  // flattened into (key, delta) tuples and hashed to a staging region in
-  // parallel, per-region workers merge the tuples into net deltas, and
-  // only the net deltas are applied to the hash table (serially, region
-  // by region -- the pager is not thread-safe). One consequence of
-  // merging: per (tree, fp) key the batch's deltas are summed before the
-  // apply, so an update retracting and re-adding the same tuple never
-  // touches the table at all, and a minus tuple the stored bag lacks is
-  // only detected when its *net* is negative (callers pre-validate
-  // sub-bags, as the contract above already requires). The WAL
-  // transaction and its single fsync pair are unchanged.
+  // The δ-phase nets the batch's deltas per (tree, fp) key before the
+  // apply, in destination-bucket order so page touches cluster: an
+  // update retracting and re-adding the same tuple never touches the
+  // table at all, and a minus tuple the stored bag lacks is only
+  // detected when its *net* is negative (callers pre-validate sub-bags,
+  // as the contract above already requires).
+  //
   // A nonzero `cursor` is persisted as the replication cursor inside the
   // batch's WAL transaction (but only when at least one edit commits):
   // leaders stamp each batch with its replication ticket, followers
@@ -170,11 +163,10 @@ class PersistentForestIndex {
   Status ApplyBatch(const std::vector<BatchEdit>& edits,
                     std::vector<Status>* results,
                     ApplyBatchTimings* timings = nullptr,
-                    ThreadPool* pool = nullptr, uint64_t cursor = 0);
+                    uint64_t cursor = 0);
   Status ApplyBatch(const std::vector<BatchEdit>& edits,
                     std::vector<Status>* results,
-                    ApplyBatchTimings* timings, ThreadPool* pool,
-                    const TxnOptions& txn);
+                    ApplyBatchTimings* timings, const TxnOptions& txn);
 
   // Completes or rolls back a transaction left prepared by
   // ApplyBatch/BulkAdd with TxnOptions::prepare. FinishPrepared applies
@@ -228,14 +220,6 @@ class PersistentForestIndex {
   // Test hook: mutable pager access for fault injection
   // (Pager::InjectWriteFailureAfter).
   Pager* mutable_pager() { return &pager_; }
-
-  // Bench/test hook (process-wide): toggles the bucket-clustered apply
-  // order in the δ-phase. On (the default) the staged net deltas are
-  // sorted by destination hash bucket so the serial table apply
-  // clusters its page touches; off restores plain key order, the
-  // before/after comparison BENCH_WRITE reports.
-  static void SetBucketSortEnabled(bool enabled);
-  static bool bucket_sort_enabled();
 
   // Test hook: run a mutation and crash mid-commit (see Pager).
   Status CrashNextCommit(Pager::CrashPoint point) {

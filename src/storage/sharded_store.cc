@@ -295,8 +295,6 @@ Status ShardedStore::GroupCommit(
 
   // Phase 1 -- prepare: each touched shard stages its sub-batch and
   // seals its own WAL (the per-shard fsync), fanned across the pool.
-  // The inner apply runs without the pool: the fan-out is across
-  // shards, and the pool is not re-entrant.
   if (pool != nullptr && runs->size() > 1) {
     pool->ParallelFor(static_cast<int64_t>(runs->size()), [&](int64_t i) {
       ShardRun& run = (*runs)[i];
@@ -427,7 +425,8 @@ Status ShardedStore::ApplyBatch(const std::vector<BatchEdit>& edits,
   results->assign(edits.size(), Status::Ok());
   if (timings != nullptr) *timings = ApplyBatchTimings{};
   if (!sharded_) {
-    Status st = shards_[0]->ApplyBatch(edits, results, timings, pool, cursor);
+    // One shard: nothing to fan out, so `pool` goes unused.
+    Status st = shards_[0]->ApplyBatch(edits, results, timings, cursor);
     if (st.ok()) {
       RefreshCursorFromShards();
       UpdateShardGauges();
@@ -457,7 +456,7 @@ Status ShardedStore::ApplyBatch(const std::vector<BatchEdit>& edits,
   auto prepare = [this](ShardRun* run,
                         const PersistentForestIndex::TxnOptions& txn) {
     return shards_[run->shard]->ApplyBatch(run->edits, &run->results,
-                                           &run->timings, nullptr, txn);
+                                           &run->timings, txn);
   };
   Status st = GroupCommit(&runs, pool, cursor, prepare);
 
@@ -485,7 +484,7 @@ Status ShardedStore::BulkAdd(
     const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
     ThreadPool* pool, uint64_t cursor) {
   if (!sharded_) {
-    Status st = shards_[0]->BulkAdd(bags, pool, cursor);
+    Status st = shards_[0]->BulkAdd(bags, cursor);
     if (st.ok()) {
       RefreshCursorFromShards();
       UpdateShardGauges();
@@ -510,7 +509,7 @@ Status ShardedStore::BulkAdd(
             });
   auto prepare = [this](ShardRun* run,
                         const PersistentForestIndex::TxnOptions& txn) {
-    return shards_[run->shard]->BulkAdd(run->bags, nullptr, txn);
+    return shards_[run->shard]->BulkAdd(run->bags, txn);
   };
   return GroupCommit(&runs, pool, cursor, prepare);
 }

@@ -37,8 +37,8 @@
 // reconciled ticket/cursor are therefore max(manifest, shards).
 //
 // Thread-safety: mutations take the caller's serialization (pqidxd's
-// ticket-ordered storage turnstile admits one batch at a time), which
-// also guarantees at most one group's WALs can exist at a crash.
+// single group-commit leader runs one batch at a time), which also
+// guarantees at most one group's WALs can exist at a crash.
 // replication_cursor()/committed_ticket() are safe to read concurrently
 // with mutations (stats endpoints).
 
@@ -106,6 +106,8 @@ class ShardedStore {
 
   // Registers many bags under one group commit (one WAL seal + fsync
   // pair per touched shard). All-or-nothing across the whole group.
+  // With `pool` the per-shard prepares and finishes run in parallel; a
+  // single-shard store has nothing to fan out and ignores it.
   Status BulkAdd(
       const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
       ThreadPool* pool = nullptr, uint64_t cursor = 0);
@@ -115,8 +117,9 @@ class ShardedStore {
   // PersistentForestIndex::ApplyBatch; a hard failure in any shard
   // aborts every shard's prepared transaction, so the group is
   // all-or-nothing at the storage level. With `pool` the per-shard
-  // prepares run in parallel (each shard's inner δ-phase then runs
-  // serially -- the fan-out is across shards).
+  // prepares and finishes run in parallel (each shard's own δ-phase is
+  // serial -- the fan-out is across shards); a single-shard store
+  // ignores it.
   Status ApplyBatch(const std::vector<BatchEdit>& edits,
                     std::vector<Status>* results,
                     ApplyBatchTimings* timings = nullptr,

@@ -29,7 +29,6 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/pqgram_index.h"
 #include "service/client.h"
@@ -140,11 +139,8 @@ void ExpectStoreEquals(PersistentForestIndex* store,
 
 // One randomized workload: build a store several commits deep (mixed
 // ApplyBatch / BulkAdd / RemoveTree), crash the final ApplyBatch at
-// `point`, reopen, and require exactly the post-batch state. With
-// `pool`, every BulkAdd/ApplyBatch stages its deltas in parallel --
-// the net state written (and recovered) must be identical either way.
-void RunCrashWorkload(Pager::CrashPoint point, int workload,
-                      ThreadPool* pool) {
+// `point`, reopen, and require exactly the post-batch state.
+void RunCrashWorkload(Pager::CrashPoint point, int workload) {
   const PqShape shape{2, 3};
   const std::string name =
       "crash_matrix_" +
@@ -175,7 +171,7 @@ void RunCrashWorkload(Pager::CrashPoint point, int workload,
         mirror.AddIndex(id, *bags.back());
         refs.emplace_back(id, bags.back().get());
       }
-      ASSERT_TRUE(store->BulkAdd(refs, pool).ok());
+      ASSERT_TRUE(store->BulkAdd(refs).ok());
     }
 
     // 1-3 committed randomized batches, with an occasional RemoveTree
@@ -184,8 +180,7 @@ void RunCrashWorkload(Pager::CrashPoint point, int workload,
     for (int b = 0; b < committed_batches; ++b) {
       PlannedBatch batch = PlanBatch(&rng, &mirror, &next_id);
       std::vector<Status> results;
-      ASSERT_TRUE(store->ApplyBatch(batch.edits, &results, nullptr,
-                                    pool).ok());
+      ASSERT_TRUE(store->ApplyBatch(batch.edits, &results).ok());
       for (const Status& s : results) ASSERT_TRUE(s.ok()) << s.ToString();
       if (rng.Bernoulli(0.3)) {
         std::vector<TreeId> present = mirror.TreeIds();
@@ -202,8 +197,7 @@ void RunCrashWorkload(Pager::CrashPoint point, int workload,
     PlannedBatch batch = PlanBatch(&rng, &mirror, &next_id);
     std::vector<Status> results;
     ASSERT_TRUE(store->CrashNextCommit(point).ok());
-    ASSERT_TRUE(store->ApplyBatch(batch.edits, &results, nullptr,
-                                  pool).ok());
+    ASSERT_TRUE(store->ApplyBatch(batch.edits, &results).ok());
     // The store object is dead now (the pager dropped its file handle);
     // it is discarded without further use, exactly like a real crash.
   }
@@ -219,21 +213,15 @@ void RunCrashWorkload(Pager::CrashPoint point, int workload,
 }
 
 TEST(CrashMatrixTest, AfterWalSealRecoversDurably) {
-  // Even workloads stage serially, odd ones through a pool: the durable
-  // bytes must not depend on how the deltas were staged.
-  ThreadPool pool(3);
   for (int workload = 0; workload < 50; ++workload) {
-    RunCrashWorkload(Pager::CrashPoint::kAfterWalSeal, workload,
-                     workload % 2 == 1 ? &pool : nullptr);
+    RunCrashWorkload(Pager::CrashPoint::kAfterWalSeal, workload);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(CrashMatrixTest, DuringInPlaceRecoversDurably) {
-  ThreadPool pool(3);
   for (int workload = 0; workload < 50; ++workload) {
-    RunCrashWorkload(Pager::CrashPoint::kDuringInPlace, workload,
-                     workload % 2 == 1 ? &pool : nullptr);
+    RunCrashWorkload(Pager::CrashPoint::kDuringInPlace, workload);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -368,22 +356,23 @@ TEST(CrashMatrixTest, WriteFailureSweepNeverTearsABatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined server commits x pager crash.
+// Server group commits x pager crash.
 
-// A pager crash in the middle of a PIPELINED commit stream (depth 3,
-// parallel staging, incremental snapshots). Both crash points fire after
-// the WAL seal, so the crashed batch is durable and its writers are
-// acked; every batch behind it in the pipeline hits the poisoned pager,
-// fails, and must leave nothing durable. Reopening recovers exactly the
-// acked edits -- the atomic before/after-batch guarantee survives
-// overlapped commits.
+// A pager crash in the middle of a server's group-commit stream (held
+// leadership so concurrent writers share batches, incremental
+// snapshots). Both crash points fire after the WAL seal, so the crashed
+// batch is durable and its writers are acked; every batch behind it hits
+// the poisoned pager, fails, and must leave nothing durable. Reopening
+// recovers exactly the acked edits -- the atomic before/after-batch
+// guarantee. (The name predates the single commit leader; the server's
+// commits are no longer pipelined.)
 TEST(CrashMatrixTest, PipelinedServerCrashKeepsExactlyAckedEdits) {
   for (Pager::CrashPoint point : {Pager::CrashPoint::kAfterWalSeal,
                                   Pager::CrashPoint::kDuringInPlace}) {
     const bool seal = point == Pager::CrashPoint::kAfterWalSeal;
     const PqShape shape{2, 2};
     const std::string path = TempPath(
-        std::string("crash_matrix_pipeline_") + (seal ? "seal" : "inplace") +
+        std::string("crash_matrix_server_") + (seal ? "seal" : "inplace") +
         ".db");
     RemoveStoreFiles(path);
     StatusOr<std::unique_ptr<ShardedStore>> created =
@@ -393,8 +382,6 @@ TEST(CrashMatrixTest, PipelinedServerCrashKeepsExactlyAckedEdits) {
 
     ServerOptions options;
     options.max_connections = 8;
-    options.commit_pipeline_depth = 3;
-    options.staging_threads = 2;
     options.commit_hold_us = 200;
     Server server(store.get(), options);
     auto listener = std::make_unique<PipeListener>();

@@ -520,11 +520,9 @@ TEST(ReplicationFollowerTest, SnapshotFallbackWhenHistoryCompacted) {
 
 // --- stress (TSan target) ----------------------------------------------
 
-TEST(ReplicationStressTest, PipelinedCommitsStreamToLiveFollower) {
+TEST(ReplicationStressTest, GroupCommitsStreamToLiveFollower) {
   const PqShape shape{2, 3};
   ServerOptions options;
-  options.commit_pipeline_depth = 3;
-  options.staging_threads = 2;
   options.max_group_commit = 16;
   LeaderService leader("repl_leader_stress.db", shape, options);
   RemoveStore("repl_follower_stress.db");

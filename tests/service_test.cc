@@ -37,9 +37,10 @@ std::string TempPath(const std::string& name) {
 
 using StorePtr = std::unique_ptr<ShardedStore>;
 
-StorePtr MustCreate(const std::string& name, PqShape shape) {
+StorePtr MustCreate(const std::string& name, PqShape shape,
+                    int store_shards = 1) {
   StatusOr<StorePtr> store =
-      ShardedStore::Create(TempPath(name), shape);
+      ShardedStore::Create(TempPath(name), shape, store_shards);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).value();
 }
@@ -373,8 +374,9 @@ TEST(PipeTransportTest, ListenerHandsOutConnectedPairs) {
 
 struct TestService {
   explicit TestService(const std::string& name, PqShape shape,
-                       ServerOptions options = ServerOptions()) {
-    index = MustCreate(name, shape);
+                       ServerOptions options = ServerOptions(),
+                       int store_shards = 1) {
+    index = MustCreate(name, shape, store_shards);
     server = std::make_unique<Server>(index.get(), options);
     auto listener = std::make_unique<PipeListener>();
     connect_point = listener.get();
@@ -406,6 +408,20 @@ int64_t CounterValue(const MetricsSnapshot& snap, std::string_view name) {
 int64_t HistCount(const MetricsSnapshot& snap, std::string_view name) {
   const MetricSample* sample = snap.Find(name);
   return sample != nullptr ? sample->count : 0;
+}
+
+int64_t HistSum(const MetricsSnapshot& snap, std::string_view name) {
+  const MetricSample* sample = snap.Find(name);
+  return sample != nullptr ? sample->sum : 0;
+}
+
+// The commit fan-out pool a server over `store_shards` shards derives:
+// min(shards, cores) threads on two or more shards, none on one.
+int64_t ExpectedFanoutThreads(int store_shards) {
+  if (store_shards < 2) return 0;
+  const int cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return std::min(store_shards, cores);
 }
 
 TEST(ServiceTest, ConnectLearnsShapeAndPings) {
@@ -1180,37 +1196,36 @@ TEST(ServiceStressTest, ConcurrentClientsOverPipe) {
   RunStressWorkload(&service, "svc_stress_pipe.db");
 }
 
-// The same full-equivalence stress workload with the write pipeline on:
-// up to three batches in flight (validation of batch N+1 overlapping the
-// WAL commit of batch N), parallel delta staging, and incremental
+// The same full-equivalence stress workload with leadership held open,
+// so concurrent writers share group-commit batches, plus incremental
 // snapshot publication. Every response must still match the
-// single-threaded library and the store must reopen clean -- the
-// pipeline is pure mechanism, never visible in results. Runs under TSan
-// in CI (lookups race pipelined commits).
+// single-threaded library and the store must reopen clean -- batching is
+// pure mechanism, never visible in results. Runs under TSan in CI
+// (lookups race commits). The name predates the single commit leader.
 TEST(ServiceStressTest, ConcurrentClientsWithPipelinedCommits) {
   ServerOptions options;
   options.max_connections = 8;
-  options.commit_pipeline_depth = 3;
-  options.staging_threads = 2;
   options.commit_hold_us = 200;
   TestService service("svc_stress_pipeline.db", PqShape{2, 3}, options);
   RunStressWorkload(&service, "svc_stress_pipeline.db");
 }
 
-// Writers hammering ONE tree while commits pipeline: successor batches
-// must validate against the predecessor's pending (overlay) bag, not the
-// stale replica, or acknowledged edits would vanish. Every acked delta
-// must be present in the final stored bag.
-TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
+// Writers hammering ONE tree with leadership held open, so their edits
+// share batches: each edit must validate against the bag composed by the
+// earlier edits of its batch, not the stale replica, or acknowledged
+// edits would vanish. One edit carries a minus bag that is not a sub-bag
+// of the stored bag; it alone fails, and nothing of it is stored.
+TEST(ServiceStressTest, SameTreeEditsChainWithinOneBatch) {
   ServerOptions options;
   options.max_connections = 8;
-  options.commit_pipeline_depth = 4;
-  options.staging_threads = 2;
+  options.commit_hold_us = 2000;
   const PqShape shape{2, 2};
-  TestService service("svc_pipeline_chain.db", shape, options);
+  TestService service("svc_batch_chain.db", shape, options);
 
   constexpr int kWriters = 5;
   constexpr int kEditsPerWriter = 24;
+  constexpr int kBadWriter = 2;
+  constexpr int kBadEdit = 11;
   {
     std::unique_ptr<Client> seed = service.MustConnect();
     PqGramIndex bag(shape);
@@ -1219,13 +1234,23 @@ TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
   }
   std::vector<std::thread> writers;
   std::atomic<int> failures{0};
+  std::atomic<int> bad_rejected{0};
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       std::unique_ptr<Client> client = service.MustConnect();
       for (int i = 0; i < kEditsPerWriter; ++i) {
         PqGramIndex plus(shape);
         plus.Add(static_cast<PqGramFingerprint>(100 + w * 1000 + i), 1);
-        if (!client->ApplyDeltas(0, plus, PqGramIndex(shape), 1).ok()) {
+        PqGramIndex minus(shape);
+        const bool bad = w == kBadWriter && i == kBadEdit;
+        // The tree never holds fingerprint 7.
+        if (bad) minus.Add(static_cast<PqGramFingerprint>(7), 1);
+        Status s = client->ApplyDeltas(0, plus, minus, 1);
+        if (bad) {
+          if (s.code() == StatusCode::kInvalidArgument) {
+            bad_rejected.fetch_add(1);
+          }
+        } else if (!s.ok()) {
           failures.fetch_add(1);
         }
       }
@@ -1233,20 +1258,35 @@ TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
   }
   for (std::thread& t : writers) t.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(bad_rejected.load(), 1);
+  ServiceStats stats = service.server->stats();
+  EXPECT_GE(stats.max_batch, 2);
+  EXPECT_EQ(stats.edits_applied, 1 + kWriters * kEditsPerWriter - 1);
+
+  // Every acked delta, and nothing of the rejected edit.
+  PqGramIndex expected(shape);
+  expected.Add(static_cast<PqGramFingerprint>(1), 1);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kEditsPerWriter; ++i) {
+      if (w == kBadWriter && i == kBadEdit) continue;
+      expected.Add(static_cast<PqGramFingerprint>(100 + w * 1000 + i), 1);
+    }
+  }
+  // The served snapshot holds the bag composed across each batch.
+  {
+    std::unique_ptr<Client> client = service.MustConnect();
+    StatusOr<std::vector<LookupResult>> hits = client->Lookup(expected, 0.0);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    ASSERT_EQ(hits->size(), 1u);
+    EXPECT_EQ((*hits)[0].tree_id, 0u);
+    EXPECT_EQ((*hits)[0].distance, 0.0);
+  }
   service.server->Stop();
 
   service.index->CheckConsistency();
   StatusOr<PqGramIndex> stored = service.index->MaterializeIndex(0);
   ASSERT_TRUE(stored.ok());
-  EXPECT_EQ(stored->Count(static_cast<PqGramFingerprint>(1)), 1);
-  for (int w = 0; w < kWriters; ++w) {
-    for (int i = 0; i < kEditsPerWriter; ++i) {
-      EXPECT_EQ(
-          stored->Count(static_cast<PqGramFingerprint>(100 + w * 1000 + i)),
-          1)
-          << "writer " << w << " edit " << i;
-    }
-  }
+  EXPECT_EQ(*stored, expected);
 }
 
 // Snapshot publication never rebuilds from scratch: every commit's
@@ -1390,9 +1430,190 @@ TEST(ServiceStressTest, ConcurrentClientsOverTcpLoopback) {
   }
 }
 
+// The derived commit fan-out end to end: on a 4-shard store every group
+// commit that spans shards prepares and finishes them on the server's
+// fan-out pool, while four writers edit disjoint trees and a reader
+// looks up concurrently. Afterwards every lookup must be bit-identical
+// to the in-process library over the final trees, and the store must
+// reopen clean with exactly those bags. Runs under TSan in CI.
+TEST(ServiceStressTest, ShardedStoreConcurrentWritersMatchLibrary) {
+  constexpr int kShards = 4;
+  ServerOptions options;
+  options.max_connections = 8;
+  options.commit_hold_us = 200;  // batches span shards
+  const PqShape shape{2, 3};
+  TestService service("svc_sharded_writers.store", shape, options, kShards);
+  const MetricsSnapshot started = Metrics::Default().Snapshot();
+  const MetricSample* fanout = started.Find("server.commit_fanout_threads");
+  ASSERT_NE(fanout, nullptr);
+  EXPECT_EQ(fanout->value, ExpectedFanoutThreads(kShards));
+
+  constexpr int kWriters = 4;
+  constexpr int kTreesPerWriter = 6;
+  constexpr int kRounds = 5;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    std::unique_ptr<Client> client = service.MustConnect();
+    Rng rng(4242);
+    Tree probe = GenerateDblpLike(nullptr, &rng, 40);
+    while (!done.load()) {
+      if (!client->Lookup(probe, 0.6).ok()) failures.fetch_add(1);
+    }
+  });
+  std::vector<std::vector<Tree>> final_trees(kWriters);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      std::unique_ptr<Client> client = service.MustConnect();
+      Rng rng(8100 + static_cast<uint64_t>(w));
+      std::vector<Tree>& trees = final_trees[static_cast<size_t>(w)];
+      // Consecutive ids, so every writer's trees span all four shards.
+      for (int t = 0; t < kTreesPerWriter; ++t) {
+        trees.push_back(GenerateDblpLike(nullptr, &rng, 40));
+        const TreeId id = static_cast<TreeId>(w * kTreesPerWriter + t);
+        if (!client->AddTree(id, trees.back()).ok()) failures.fetch_add(1);
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        for (int t = 0; t < kTreesPerWriter; ++t) {
+          const TreeId id = static_cast<TreeId>(w * kTreesPerWriter + t);
+          EditLog log;
+          GenerateEditScript(&trees[static_cast<size_t>(t)], &rng, 5,
+                             EditScriptOptions{}, &log);
+          if (!client->ApplyEdits(id, trees[static_cast<size_t>(t)], log)
+                   .ok()) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  done.store(true);
+  reader.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  ForestIndex library(shape);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int t = 0; t < kTreesPerWriter; ++t) {
+      library.AddTree(static_cast<TreeId>(w * kTreesPerWriter + t),
+                      final_trees[static_cast<size_t>(w)]
+                                 [static_cast<size_t>(t)]);
+    }
+  }
+  std::unique_ptr<Client> client = service.MustConnect();
+  for (int w = 0; w < kWriters; ++w) {
+    const Tree& query = final_trees[static_cast<size_t>(w)].front();
+    for (double tau : {0.0, 0.3, 0.6, 1.0}) {
+      StatusOr<std::vector<LookupResult>> remote = client->Lookup(query, tau);
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      const std::vector<LookupResult> local = library.Lookup(query, tau);
+      ASSERT_EQ(remote->size(), local.size()) << "tau " << tau;
+      for (size_t i = 0; i < local.size(); ++i) {
+        EXPECT_EQ((*remote)[i].tree_id, local[i].tree_id);
+        EXPECT_EQ((*remote)[i].distance, local[i].distance);
+      }
+    }
+  }
+  client->Close();
+  ServiceStats stats = service.server->stats();
+  EXPECT_EQ(stats.tree_count, kWriters * kTreesPerWriter);
+  EXPECT_EQ(stats.protocol_errors, 0);
+  service.server->Stop();
+
+  service.index->CheckConsistency();
+  service.index.reset();
+  StatusOr<StorePtr> reopened =
+      ShardedStore::Open(TempPath("svc_sharded_writers.store"));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  (*reopened)->CheckConsistency();
+  EXPECT_EQ((*reopened)->shard_count(), kShards);
+  EXPECT_EQ((*reopened)->size(), kWriters * kTreesPerWriter);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int t = 0; t < kTreesPerWriter; ++t) {
+      const TreeId id = static_cast<TreeId>(w * kTreesPerWriter + t);
+      StatusOr<PqGramIndex> stored = (*reopened)->MaterializeIndex(id);
+      ASSERT_TRUE(stored.ok());
+      EXPECT_EQ(*stored, BuildIndex(final_trees[static_cast<size_t>(w)]
+                                               [static_cast<size_t>(t)],
+                                    shape))
+          << "tree " << id;
+    }
+  }
+}
+
+// Ground truth for server.write_queue_wait_us and the fan-out gauge. With
+// leadership held for 2000 us, each batch's leader waits out the hold
+// with its own edit queued, so the histogram records every accepted edit
+// exactly once, its max is at least the hold, and its sum is at least
+// the hold once per commit. server.commit_fanout_threads reads 0 on a
+// one-shard store and the derived pool size on a four-shard store.
+TEST(ServiceMetricsTest, WriteQueueWaitAndCommitFanoutGauge) {
+  constexpr int kHoldUs = 2000;
+  const PqShape shape{2, 2};
+  {
+    ServerOptions options;
+    options.max_connections = 8;
+    options.commit_hold_us = kHoldUs;
+    TestService service("svc_queue_wait.db", shape, options);
+    const MetricsSnapshot before = Metrics::Default().Snapshot();
+    const MetricSample* fanout = before.Find("server.commit_fanout_threads");
+    ASSERT_NE(fanout, nullptr);
+    EXPECT_EQ(fanout->value, 0);
+
+    constexpr int kWriters = 6;
+    constexpr int kEditsPerWriter = 10;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        std::unique_ptr<Client> client = service.MustConnect();
+        PqGramIndex bag(shape);
+        bag.Add(static_cast<PqGramFingerprint>(1000 + w), 1);
+        if (!client->AddIndex(static_cast<TreeId>(w), bag).ok()) {
+          failures.fetch_add(1);
+        }
+        for (int i = 0; i < kEditsPerWriter; ++i) {
+          PqGramIndex plus(shape);
+          plus.Add(static_cast<PqGramFingerprint>(w * 1000 + i), 1);
+          if (!client->ApplyDeltas(static_cast<TreeId>(w), plus,
+                                   PqGramIndex(shape), 1)
+                   .ok()) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    ASSERT_EQ(failures.load(), 0);
+    const MetricsSnapshot after = Metrics::Default().Snapshot();
+    const ServiceStats stats = service.server->stats();
+    const int64_t accepted = kWriters * (kEditsPerWriter + 1);
+    ASSERT_EQ(stats.edits_applied, accepted);
+    EXPECT_EQ(HistCount(after, "server.write_queue_wait_us") -
+                  HistCount(before, "server.write_queue_wait_us"),
+              accepted);
+    const MetricSample* wait = after.Find("server.write_queue_wait_us");
+    ASSERT_NE(wait, nullptr);
+    EXPECT_GE(wait->max, kHoldUs);
+    EXPECT_GE(HistSum(after, "server.write_queue_wait_us") -
+                  HistSum(before, "server.write_queue_wait_us"),
+              kHoldUs * stats.edit_commits);
+    service.server->Stop();
+  }
+  {
+    TestService sharded("svc_fanout_gauge.store", shape, ServerOptions(), 4);
+    const MetricsSnapshot started = Metrics::Default().Snapshot();
+    const MetricSample* fanout = started.Find("server.commit_fanout_threads");
+    ASSERT_NE(fanout, nullptr);
+    EXPECT_EQ(fanout->value, ExpectedFanoutThreads(4));
+    sharded.server->Stop();
+  }
+}
+
 // Regression test (runs under TSan in CI): stats() used to read
-// replica_.shape() without holding index_mutex_ while storage turns
-// mutate replica_ -- found by the thread-safety annotation retrofit
+// replica_.shape() without holding index_mutex_ while the commit leader
+// mutates replica_ -- found by the thread-safety annotation retrofit
 // (the shape is now cached in an immutable-after-Start member). This
 // hammers stats() against a write-heavy workload so any reintroduced
 // unlocked replica_ access that touches mutated memory (verified for
@@ -1400,8 +1621,6 @@ TEST(ServiceStressTest, ConcurrentClientsOverTcpLoopback) {
 TEST(ServiceStressTest, StatsRaceWritersRegression) {
   ServerOptions options;
   options.max_connections = 4;
-  options.commit_pipeline_depth = 2;
-  options.staging_threads = 2;
   TestService service("svc_stats_race.db", PqShape{2, 3}, options);
 
   std::atomic<bool> done{false};

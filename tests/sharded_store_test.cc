@@ -261,7 +261,7 @@ TEST(ShardedStoreTest, OpensPreShardSingleFileUnchanged) {
     ASSERT_TRUE(legacy.ok());
     PqGramIndex bag = Bag(shape, {{7, 2}, {8, 1}});
     mirror.AddIndex(3, bag);
-    ASSERT_TRUE((*legacy)->BulkAdd({{3, &bag}}, nullptr, 11).ok());
+    ASSERT_TRUE((*legacy)->BulkAdd({{3, &bag}}, 11).ok());
   }
   StatusOr<std::unique_ptr<ShardedStore>> opened = ShardedStore::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();

@@ -43,8 +43,7 @@
 //
 //   pqidx serve <index-file> [-p P] [-q Q] [--port N] [-t THREADS]
 //               [--lookup-threads N] [--stats-interval SECS]
-//               [--commit-pipeline-depth D]
-//               [--staging-threads N] [--replication-history N]
+//               [--replication-history N]
 //               [--replication-max-queue N] [--follow HOST:PORT]
 //               [--query-cache-mb N] [--query-cache-off]
 //               [--store-shards N]
@@ -56,12 +55,11 @@
 //       N = 1 (the default) the classic single file. An existing store
 //       keeps its layout; --store-shards is then ignored. With
 //       --stats-interval, dumps the metrics registry to stdout every
-//       SECS seconds. --commit-pipeline-depth D overlaps up to D group
-//       commits (validation + delta staging of batch N+1 runs while batch
-//       N is inside its WAL fsync); --staging-threads adds a pool that
-//       parallelizes delta staging within each batch; lookup snapshots
-//       are maintained incrementally (each commit's bags are merged into
-//       the shards they touch). Stop with SIGINT/SIGTERM; final service
+//       SECS seconds. Edits are group-committed by one leader at a time;
+//       on a sharded store each commit's per-shard prepare/finish runs
+//       on min(shards, cores) threads. Lookup snapshots are maintained
+//       incrementally (each commit's bags are merged into the shards
+//       they touch). Stop with SIGINT/SIGTERM; final service
 //       statistics and the full registry are printed on exit.
 //       --query-cache-mb N sizes the epoch-keyed query-result cache
 //       serving kLookup/kTopK (default 32 MiB; hit/miss/evict/stale
@@ -152,8 +150,6 @@ int Usage() {
                "  pqidx join   <left-index> <right-index> [tau]\n"
                "  pqidx serve  <index-file> [-p P] [-q Q] [--port N] "
                "[-t THREADS] [--lookup-threads N] [--stats-interval SECS]\n"
-               "               [--commit-pipeline-depth D] "
-               "[--staging-threads N]\n"
                "               [--replication-history N] "
                "[--replication-max-queue N] [--follow HOST:PORT]\n"
                "               [--query-cache-mb N] [--query-cache-off] "
@@ -568,8 +564,6 @@ int CmdServe(std::vector<std::string> args) {
   int threads = 4;
   int lookup_threads = 0;
   int stats_interval = 0;
-  int pipeline_depth = 1;
-  int staging_threads = 0;
   ServerOptions defaults;
   int replication_history = defaults.replication_history;
   int replication_max_queue = defaults.replication_max_queue;
@@ -587,10 +581,6 @@ int CmdServe(std::vector<std::string> args) {
       lookup_threads = std::atoi(args[++i].c_str());
     } else if (args[i] == "--stats-interval" && i + 1 < args.size()) {
       stats_interval = std::atoi(args[++i].c_str());
-    } else if (args[i] == "--commit-pipeline-depth" && i + 1 < args.size()) {
-      pipeline_depth = std::atoi(args[++i].c_str());
-    } else if (args[i] == "--staging-threads" && i + 1 < args.size()) {
-      staging_threads = std::atoi(args[++i].c_str());
     } else if (args[i] == "--replication-history" && i + 1 < args.size()) {
       replication_history = std::atoi(args[++i].c_str());
     } else if (args[i] == "--replication-max-queue" &&
@@ -609,8 +599,7 @@ int CmdServe(std::vector<std::string> args) {
     }
   }
   if (rest.size() != 1 || port < 0 || port > 65535 || threads < 1 ||
-      lookup_threads < 0 || stats_interval < 0 || pipeline_depth < 1 ||
-      staging_threads < 0 ||
+      lookup_threads < 0 || stats_interval < 0 ||
       replication_history < 1 || replication_max_queue < 1 ||
       query_cache_mb < 0 || store_shards < 1 || store_shards > 1024) {
     return Usage();
@@ -655,8 +644,6 @@ int CmdServe(std::vector<std::string> args) {
   ServerOptions options;
   options.max_connections = threads;
   options.lookup_threads = lookup_threads;
-  options.commit_pipeline_depth = pipeline_depth;
-  options.staging_threads = staging_threads;
   options.replication_history = replication_history;
   options.replication_max_queue = replication_max_queue;
   options.query_cache_mb = query_cache_mb;
@@ -665,10 +652,14 @@ int CmdServe(std::vector<std::string> args) {
   if (Status s = server.Start(std::move(*listener)); !s.ok()) {
     return Fail(s);
   }
+  // The tree count comes from the server: once Start() returns, handler
+  // threads may be committing to the store, whose catalog is not
+  // synchronized for concurrent readers.
   std::printf("pqidxd serving %s on 127.0.0.1:%d (%d,%d-grams, %d trees, "
               "%d handler threads); stop with SIGINT\n",
               index_path.c_str(), bound_port, (*index)->shape().p,
-              (*index)->shape().q, (*index)->size(), threads);
+              (*index)->shape().q, static_cast<int>(server.stats().tree_count),
+              threads);
   std::fflush(stdout);
 
   // Optional periodic registry dump: a background thread prints the
