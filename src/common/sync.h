@@ -9,7 +9,7 @@
 //
 // Conventions (docs/ARCHITECTURE.md, "Locking model"):
 //
-//   * every Mutex / SharedMutex member documents what it guards by
+//   * every Mutex member documents what it guards by
 //     putting PQIDX_GUARDED_BY on those members (lint rule R8 requires
 //     at least one reference per mutex member);
 //   * condition waits are written as explicit loops --
@@ -17,8 +17,7 @@
 //     analysis is intra-procedural, so a lambda reading guarded state
 //     would need its own escape hatch;
 //   * MutexLock supports Unlock()/Lock() for windows where a blocking
-//     call must run unlocked (group-commit leaders); the reader/writer
-//     scopes are plain RAII.
+//     call must run unlocked (group-commit leaders).
 
 #ifndef PQIDX_COMMON_SYNC_H_
 #define PQIDX_COMMON_SYNC_H_
@@ -27,7 +26,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -49,22 +47,6 @@ class PQIDX_CAPABILITY("mutex") Mutex {
  private:
   friend class CondVar;
   std::mutex mu_;
-};
-
-// Reader/writer mutex (std::shared_mutex) as a Clang capability.
-class PQIDX_CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() PQIDX_ACQUIRE() { mu_.lock(); }
-  void Unlock() PQIDX_RELEASE() { mu_.unlock(); }
-  void LockShared() PQIDX_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() PQIDX_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
 };
 
 // RAII exclusive scope over a Mutex. Unlock()/Lock() reopen the scope
@@ -92,38 +74,6 @@ class PQIDX_SCOPED_CAPABILITY MutexLock {
  private:
   Mutex* const mu_;
   bool held_ = true;
-};
-
-// RAII exclusive scope over a SharedMutex.
-class PQIDX_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex* mu) PQIDX_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterLock() PQIDX_RELEASE() { mu_->Unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-// RAII shared (reader) scope over a SharedMutex.
-class PQIDX_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex* mu) PQIDX_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
-  }
-  // Generic (not exclusive) release: the scope holds the capability
-  // shared, and the analysis rejects an exclusive release of it.
-  ~ReaderLock() PQIDX_RELEASE_GENERIC() { mu_->UnlockShared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 // Condition variable bound to Mutex. Wait() takes the Mutex the caller

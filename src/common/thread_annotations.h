@@ -12,7 +12,7 @@
 //
 // The attributes only fire on types themselves marked as capabilities,
 // which is why the project wraps the std primitives in common/sync.h
-// (PQIDX_CAPABILITY Mutex / SharedMutex) and tools/lint.py rule R6
+// (PQIDX_CAPABILITY Mutex) and tools/lint.py rule R6
 // forbids the raw std types outside that header.
 //
 // PQIDX_NO_THREAD_SAFETY_ANALYSIS is the escape hatch for contracts the
@@ -52,32 +52,22 @@
 #define PQIDX_ACQUIRED_AFTER(...) \
   PQIDX_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 
-// The function may only be called while holding the listed capabilities
-// exclusively / shared; it does not acquire or release them.
+// The function may only be called while holding the listed
+// capabilities; it does not acquire or release them.
 #define PQIDX_REQUIRES(...) \
   PQIDX_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define PQIDX_REQUIRES_SHARED(...) \
-  PQIDX_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 // The function acquires the capability and holds it on return.
 #define PQIDX_ACQUIRE(...) \
   PQIDX_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define PQIDX_ACQUIRE_SHARED(...) \
-  PQIDX_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 
 // The function releases a capability the caller holds.
 #define PQIDX_RELEASE(...) \
   PQIDX_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define PQIDX_RELEASE_SHARED(...) \
-  PQIDX_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-#define PQIDX_RELEASE_GENERIC(...) \
-  PQIDX_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 
 // The function acquires the capability iff it returns the given value.
 #define PQIDX_TRY_ACQUIRE(...) \
   PQIDX_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define PQIDX_TRY_ACQUIRE_SHARED(...) \
-  PQIDX_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
 
 // The function may not be called while holding the listed capabilities
 // (self-deadlock prevention for functions that acquire them).
@@ -88,8 +78,6 @@
 // (runtime-checked assertions).
 #define PQIDX_ASSERT_CAPABILITY(x) \
   PQIDX_THREAD_ANNOTATION_(assert_capability(x))
-#define PQIDX_ASSERT_SHARED_CAPABILITY(x) \
-  PQIDX_THREAD_ANNOTATION_(assert_shared_capability(x))
 
 // The function returns a reference to the given capability.
 #define PQIDX_RETURN_CAPABILITY(x) \

@@ -377,21 +377,30 @@ std::shared_ptr<const LookupEngine> LookupEngine::Compile(
     engine->shards_[static_cast<size_t>(s)] =
         std::move(shards[static_cast<size_t>(s)]);
   }
+  engine->IndexRoutes();
   return engine;
 }
 
 std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
-    const Shard& old, const BagUpdate* begin, const BagUpdate* end) {
+    const Shard& old, const TreeUpdate* begin, const TreeUpdate* end) {
   auto shard = std::make_shared<Shard>();
   // The next tree set in ascending id order: surviving old slots keep
   // their relative order, so remap[] is monotone and each old posting
-  // group stays slot-ascending after renumbering. Changed trees map to
-  // -1 (their old entries drop) and contribute their new postings.
+  // group stays slot-ascending after renumbering. Replaced trees map to
+  // -1 (their old entries drop) and contribute their new bag's postings;
+  // updated trees keep their entries and contribute signed deltas.
   const size_t old_trees = old.tree_ids.size();
   std::vector<int32_t> remap(old_trees, -1);
-  std::vector<RawPosting> fresh;
+  std::vector<RawPosting> delta;
+  auto add_postings = [&](const PqGramIndex* bag, int32_t slot,
+                          int64_t sign) {
+    if (bag == nullptr) return;
+    for (const auto& [fp, count] : bag->counts()) {
+      delta.push_back({fp, slot, sign * count});
+    }
+  };
   size_t i = 0;
-  for (const BagUpdate* u = begin; i < old_trees || u != end;) {
+  for (const TreeUpdate* u = begin; i < old_trees || u != end;) {
     const int32_t slot = static_cast<int32_t>(shard->tree_ids.size());
     if (u == end || (i < old_trees && old.tree_ids[i] < u->id)) {
       remap[i] = slot;
@@ -400,38 +409,64 @@ std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
       ++i;
       continue;
     }
-    if (i < old_trees && old.tree_ids[i] == u->id) ++i;  // replaced
-    if (u->bag != nullptr) {
-      shard->tree_ids.push_back(u->id);
-      shard->tree_sizes.push_back(u->bag->size());
-      for (const auto& [fp, count] : u->bag->counts()) {
-        fresh.push_back({fp, slot, count});
+    const bool present = i < old_trees && old.tree_ids[i] == u->id;
+    if (u->replace) {
+      if (present) ++i;
+      if (u->plus != nullptr) {
+        shard->tree_ids.push_back(u->id);
+        shard->tree_sizes.push_back(u->plus->size());
+        add_postings(u->plus, slot, 1);
       }
+    } else {
+      PQIDX_CHECK_MSG(present, "count delta for a tree not in the snapshot");
+      remap[i] = slot;
+      shard->tree_ids.push_back(u->id);
+      shard->tree_sizes.push_back(
+          old.tree_sizes[i] + (u->plus != nullptr ? u->plus->size() : 0) -
+          (u->minus != nullptr ? u->minus->size() : 0));
+      add_postings(u->plus, slot, 1);
+      add_postings(u->minus, slot, -1);
+      ++i;
     }
     ++u;
   }
-  std::sort(fresh.begin(), fresh.end(),
+  std::sort(delta.begin(), delta.end(),
             [](const RawPosting& a, const RawPosting& b) {
               return a.fp < b.fp || (a.fp == b.fp && a.slot < b.slot);
             });
+  // A fingerprint in both plus and minus of one update: one net delta.
+  size_t kept = 0;
+  for (const RawPosting& p : delta) {
+    if (kept > 0 && delta[kept - 1].fp == p.fp &&
+        delta[kept - 1].slot == p.slot) {
+      delta[kept - 1].count += p.count;
+    } else {
+      delta[kept++] = p;
+    }
+  }
+  delta.resize(kept);
 
   // One pass over both fingerprint-sorted sequences. Within a group the
-  // surviving old entries (renumbered) and the fresh ones are each
+  // surviving old entries (renumbered) and the delta postings are each
   // slot-ascending, so a two-way merge by slot yields FreezeShard's
-  // (fp, slot) order. Groups left empty by the drops disappear.
+  // (fp, slot) order; an old entry and a delta of the same slot sum.
+  // Zero counts drop, and groups left empty disappear.
   const size_t groups = old.fps.size();
   shard->fps.reserve(groups);
   shard->offsets.reserve(groups + 1);
-  shard->entries.reserve(old.entries.size() + fresh.size());
+  shard->entries.reserve(old.entries.size() + delta.size());
   shard->offsets.push_back(0);
   DirectoryBuilder dir(groups);
+  auto append = [&](int32_t slot, int64_t count) {
+    if (count != 0) AppendEntry(shard.get(), slot, count);
+  };
   size_t g = 0;
   size_t f = 0;
-  while (g < groups || f < fresh.size()) {
+  while (g < groups || f < delta.size()) {
     const PqGramFingerprint fp =
-        (f == fresh.size() || (g < groups && old.fps[g] <= fresh[f].fp))
+        (f == delta.size() || (g < groups && old.fps[g] <= delta[f].fp))
             ? old.fps[g]
-            : fresh[f].fp;
+            : delta[f].fp;
     size_t k = 0;
     size_t k_end = 0;
     if (g < groups && old.fps[g] == fp) {
@@ -444,17 +479,16 @@ std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
         ++k;
       }
       const bool has_old = k < k_end;
-      const bool has_fresh = f < fresh.size() && fresh[f].fp == fp;
-      if (!has_old && !has_fresh) break;
+      const bool has_delta = f < delta.size() && delta[f].fp == fp;
+      if (!has_old && !has_delta) break;
       const int32_t old_slot =
           has_old ? remap[static_cast<size_t>(old.entries[k].slot)] : 0;
-      if (has_old && (!has_fresh || old_slot < fresh[f].slot)) {
-        const int32_t narrow = old.entries[k].count;
-        AppendEntry(shard.get(), old_slot,
-                    narrow != kWideCount ? narrow : old.EntryCount(k));
-        ++k;
+      if (has_old && (!has_delta || old_slot <= delta[f].slot)) {
+        int64_t count = old.EntryCount(k++);
+        if (has_delta && old_slot == delta[f].slot) count += delta[f++].count;
+        append(old_slot, count);
       } else {
-        AppendEntry(shard.get(), fresh[f].slot, fresh[f].count);
+        append(delta[f].slot, delta[f].count);
         ++f;
       }
     }
@@ -469,6 +503,59 @@ std::shared_ptr<LookupEngine::Shard> LookupEngine::MergeShard(
   dir.Finish(shard->fps, &shard->dir_bits, &shard->dir);
   Seal(shard.get());
   return shard;
+}
+
+size_t LookupEngine::RouteTree(TreeId id) const {
+  if (routes_.empty()) return 0;
+  auto it = std::upper_bound(
+      routes_.begin(), routes_.end(),
+      std::make_pair(id, std::numeric_limits<size_t>::max()));
+  return it == routes_.begin() ? routes_.front().second
+                               : std::prev(it)->second;
+}
+
+void LookupEngine::IndexRoutes() {
+  routes_.clear();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!shards_[s]->tree_ids.empty()) {
+      routes_.emplace_back(shards_[s]->tree_ids.front(), s);
+    }
+  }
+}
+
+bool LookupEngine::Contains(TreeId id) const {
+  const std::vector<TreeId>& ids = shards_[RouteTree(id)]->tree_ids;
+  return std::binary_search(ids.begin(), ids.end(), id);
+}
+
+int64_t LookupEngine::Count(TreeId id, PqGramFingerprint fp) const {
+  const Shard& shard = *shards_[RouteTree(id)];
+  auto it = std::lower_bound(shard.tree_ids.begin(), shard.tree_ids.end(), id);
+  if (it == shard.tree_ids.end() || *it != id) return 0;
+  const int32_t slot = static_cast<int32_t>(it - shard.tree_ids.begin());
+  const size_t g = shard.FindFingerprint(fp);
+  if (g == shard.fps.size()) return 0;
+  const size_t end = shard.offsets[g + 1];
+  const size_t k = GallopLowerBound(shard.entries.data(), end,
+                                    shard.offsets[g], slot,
+                                    [](const Entry& e) { return e.slot; });
+  return k < end && shard.entries[k].slot == slot ? shard.EntryCount(k) : 0;
+}
+
+void LookupEngine::ForEachBag(
+    const std::function<void(TreeId, const PqGramIndex&)>& fn) const {
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    std::vector<PqGramIndex> bags(shard->tree_ids.size(), PqGramIndex(shape_));
+    for (size_t g = 0; g < shard->fps.size(); ++g) {
+      for (uint32_t k = shard->offsets[g]; k < shard->offsets[g + 1]; ++k) {
+        bags[static_cast<size_t>(shard->entries[k].slot)].Add(
+            shard->fps[g], shard->EntryCount(k));
+      }
+    }
+    for (size_t slot = 0; slot < bags.size(); ++slot) {
+      fn(shard->tree_ids[slot], bags[slot]);
+    }
+  }
 }
 
 std::shared_ptr<const LookupEngine> LookupEngine::Repartition() const {
@@ -501,61 +588,47 @@ std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
   PQIDX_CHECK_MSG(prev != nullptr, "ApplyDelta needs a previous snapshot");
   PQIDX_CHECK_MSG(prev->shape_ == forest.shape(),
                   "delta forest shape does not match the snapshot");
-  std::vector<BagUpdate> updates;
-  updates.reserve(changed.size());
-  for (TreeId id : changed) updates.push_back({id, forest.Find(id)});
+  std::vector<TreeId> ids = changed;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<TreeUpdate> updates;
+  updates.reserve(ids.size());
+  for (TreeId id : ids) updates.push_back({id, true, forest.Find(id), nullptr});
   return ApplyDelta(prev, updates);
 }
 
 std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
     const std::shared_ptr<const LookupEngine>& prev,
-    const std::vector<BagUpdate>& updates) {
+    const std::vector<TreeUpdate>& updates) {
   PQIDX_CHECK_MSG(prev != nullptr, "ApplyDelta needs a previous snapshot");
   if (updates.empty()) return prev;
   PublishMetrics& metrics = publish_metrics();
   const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
-  for (const BagUpdate& u : updates) {
-    PQIDX_CHECK_MSG(u.bag == nullptr || u.bag->shape() == prev->shape_,
-                    "delta bag shape does not match the snapshot");
-  }
-  // Ascending ids, the last update of a repeated id winning.
-  std::vector<BagUpdate> sorted = updates;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const BagUpdate& a, const BagUpdate& b) {
-                     return a.id < b.id;
-                   });
-  {
-    auto last = std::unique(sorted.rbegin(), sorted.rend(),
-                            [](const BagUpdate& a, const BagUpdate& b) {
-                              return a.id == b.id;
-                            });
-    sorted.erase(sorted.begin(), last.base());
-  }
-
-  // Route every changed id to the shard whose ascending tree-id range
-  // (would) contain it: the last nonempty shard whose first id <= id,
-  // else the first nonempty shard (shard 0 when all are empty). This
-  // keeps the ranges disjoint and ascending, so an id already in the
-  // snapshot always routes to the shard that holds it. The ids are
-  // sorted, so each shard receives one contiguous run of `sorted`.
-  const size_t shard_count = prev->shards_.size();
-  std::vector<std::pair<TreeId, size_t>> firsts;
-  for (size_t s = 0; s < shard_count; ++s) {
-    if (!prev->shards_[s]->tree_ids.empty()) {
-      firsts.emplace_back(prev->shards_[s]->tree_ids.front(), s);
+  for (const TreeUpdate& u : updates) {
+    for (const PqGramIndex* bag : {u.plus, u.minus}) {
+      PQIDX_CHECK_MSG(bag == nullptr || bag->shape() == prev->shape_,
+                      "delta bag shape does not match the snapshot");
     }
   }
+  std::vector<TreeUpdate> sorted = updates;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const TreeUpdate& a, const TreeUpdate& b) {
+              return a.id < b.id;
+            });
+  PQIDX_CHECK_MSG(
+      std::adjacent_find(sorted.begin(), sorted.end(),
+                         [](const TreeUpdate& a, const TreeUpdate& b) {
+                           return a.id == b.id;
+                         }) == sorted.end(),
+      "ApplyDelta takes one update per tree");
+
+  // Route every changed id to its shard (RouteTree keeps the ranges
+  // disjoint and ascending). The ids are sorted, so each shard receives
+  // one contiguous run of `sorted`.
+  const size_t shard_count = prev->shards_.size();
   std::vector<size_t> run_begin(shard_count + 1, sorted.size());
   for (size_t k = sorted.size(); k-- > 0;) {
-    size_t s = 0;
-    if (!firsts.empty()) {
-      auto it = std::upper_bound(
-          firsts.begin(), firsts.end(),
-          std::make_pair(sorted[k].id, std::numeric_limits<size_t>::max()));
-      s = it == firsts.begin() ? firsts.front().second
-                               : std::prev(it)->second;
-    }
-    run_begin[s] = k;
+    run_begin[prev->RouteTree(sorted[k].id)] = k;
   }
   // Shards that received no run start where the next run does.
   for (size_t s = shard_count; s-- > 0;) {
@@ -584,6 +657,7 @@ std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
   }
   engine->num_trees_ = static_cast<int>(trees);
   engine->posting_entries_ = postings;
+  engine->IndexRoutes();
   metrics.incremental->Increment();
 
   // Routing sends inserts to existing ranges (every id above the last

@@ -52,13 +52,19 @@
 //
 // Snapshots are maintained the same way the paper maintains the index
 // itself (Lemma 2: In = I0 \ lambda(Delta-) |+| lambda(Delta+)):
-// ApplyDelta derives the next snapshot from the previous one and the
-// changed trees' next bags. Every untouched shard is shared with the
-// previous epoch through its shared_ptr; each shard owning a changed
-// tree is rebuilt by one linear merge of its previous arena (minus the
-// changed trees' entries) with the changed trees' new postings. A
-// commit of k edits therefore costs O(postings of the shards touched +
-// k log k) and never reads the rest of the forest.
+// ApplyDelta derives the next snapshot from the previous one and one
+// update per changed tree -- either its whole next bag (add, re-add or
+// removal) or the count delta (Delta+, Delta-) folded into its old
+// postings. Every untouched shard is shared with the previous epoch
+// through its shared_ptr; each shard owning a changed tree is rebuilt
+// by one linear merge of its previous arena with the updates' postings,
+// of which only the delta's are sorted. A commit of k edits therefore
+// costs O(postings of the shards touched + |delta| log |delta|) and
+// never reads the rest of the forest.
+//
+// The snapshot is also the server's only in-memory copy of the forest:
+// Count and Contains answer the write path's sub-bag checks by point
+// probes, and ForEachBag streams every tree's bag back out.
 //
 // The engine keeps the shard count it was built with. Routing new trees
 // into existing tree-id ranges can unbalance the shards, so a publish
@@ -69,8 +75,10 @@
 #define PQIDX_CORE_LOOKUP_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -110,28 +118,32 @@ class LookupEngine {
   static std::shared_ptr<const LookupEngine> Build(
       const InvertedForestIndex& inverted, int num_shards = 1);
 
-  // One changed tree for ApplyDelta: its next bag, or null when the
-  // tree is removed. The bag is only read during the call.
-  struct BagUpdate {
-    TreeId id;
-    const PqGramIndex* bag;
+  // One changed tree for ApplyDelta. With `replace` the tree's old
+  // entries drop and `plus` is its whole next bag (null removes it;
+  // removing an absent id is a no-op). Without it the tree must be in
+  // the snapshot and its counts become old + plus - minus, where minus
+  // must be a sub-bag of old + plus; a count that reaches zero drops
+  // its entry. The bags are only read during the call.
+  struct TreeUpdate {
+    TreeId id = 0;
+    bool replace = false;
+    const PqGramIndex* plus = nullptr;
+    const PqGramIndex* minus = nullptr;
   };
 
-  // Derives the next snapshot from `prev` (Lemma 2's lambda(Delta+) and
-  // lambda(Delta-)): an update with a bag inserts or replaces that tree,
-  // one without removes it (removing an absent id is a no-op). When an
-  // id repeats, its last update wins. Only the shards owning a changed
-  // id are merged into fresh arenas; every other shard is shared with
+  // Derives the next snapshot from `prev` (Lemma 2), one update per
+  // tree (ids must be distinct). Only the shards owning a changed id
+  // are merged into fresh arenas; every other shard is shared with
   // `prev`. An empty `updates` returns `prev` itself.
   static std::shared_ptr<const LookupEngine> ApplyDelta(
       const std::shared_ptr<const LookupEngine>& prev,
-      const std::vector<BagUpdate>& updates);
+      const std::vector<TreeUpdate>& updates);
 
-  // The same, reading the next bags from `forest`: `changed` lists every
-  // tree id whose bag differs between the snapshot and `forest`; an id
-  // absent from `forest` is a removal. Only the changed ids are looked
-  // up. The caller must list every differing id -- an unlisted change
-  // would be silently missed in a shared shard.
+  // The same, replacing each tree in `changed` by its bag in `forest`
+  // (an id absent from `forest` is a removal; repeated ids count once).
+  // Only the changed ids are looked up. The caller must list every
+  // differing id -- an unlisted change would be silently missed in a
+  // shared shard.
   static std::shared_ptr<const LookupEngine> ApplyDelta(
       const std::shared_ptr<const LookupEngine>& prev,
       const ForestIndex& forest, const std::vector<TreeId>& changed);
@@ -140,6 +152,18 @@ class LookupEngine {
   int size() const { return num_trees_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int64_t posting_entries() const { return posting_entries_; }
+
+  // Point probes: whether tree `id` is in the snapshot, and the
+  // multiplicity of `fp` in its bag (0 when either is absent). One
+  // routing search, one directory probe and one slot gallop each.
+  bool Contains(TreeId id) const;
+  int64_t Count(TreeId id, PqGramFingerprint fp) const;
+
+  // Calls fn(id, bag) for every tree in ascending id order. The bags
+  // are rebuilt from the arenas one shard at a time, so the walk holds
+  // at most one shard's bags; each bag lives only during its call.
+  void ForEachBag(
+      const std::function<void(TreeId, const PqGramIndex&)>& fn) const;
 
   // Trees per shard, in shard order.
   std::vector<int> ShardSizes() const;
@@ -277,13 +301,23 @@ class LookupEngine {
 
   // The next version of `old` with `updates` (ascending unique ids, all
   // routed to this shard) applied: one pass over the old arena in
-  // (fp, slot) order that drops the changed trees' entries, renumbers
-  // the surviving slots, splices in the new bags' postings and fills the
+  // (fp, slot) order that drops replaced trees' entries, renumbers the
+  // surviving slots, folds the delta postings into the updated trees'
+  // counts, splices in the replacement bags' postings and fills the
   // directory. The result equals FreezeShard of the same tree set, wide
   // counts and directory included.
   static std::shared_ptr<Shard> MergeShard(const Shard& old,
-                                           const BagUpdate* begin,
-                                           const BagUpdate* end);
+                                           const TreeUpdate* begin,
+                                           const TreeUpdate* end);
+
+  // The shard whose ascending tree-id range holds (or would hold) `id`:
+  // the last nonempty shard whose first id <= id, else the first
+  // nonempty shard (shard 0 when all are empty). An id in the snapshot
+  // always routes to the shard that holds it.
+  size_t RouteTree(TreeId id) const;
+
+  // Fills routes_ from the final shards; every factory calls it last.
+  void IndexRoutes();
 
   // Appends one arena entry, spilling counts beyond int32 to the
   // wide-count side map.
@@ -341,6 +375,9 @@ class LookupEngine {
   // Shards are individually refcounted so ApplyDelta can share the
   // untouched ones between consecutive snapshot epochs.
   std::vector<std::shared_ptr<const Shard>> shards_;
+  // (first tree id, shard index) of each nonempty shard, ascending:
+  // RouteTree's search table.
+  std::vector<std::pair<TreeId, size_t>> routes_;
 };
 
 }  // namespace pqidx

@@ -9,6 +9,18 @@
 #include "common/serde.h"
 
 namespace pqidx {
+namespace {
+
+// Payload bytes of one retained frame.
+int64_t FrameBytes(const ReplicatedFrame& frame) {
+  int64_t bytes = 0;
+  for (const std::string& chunk : *frame.chunks) {
+    bytes += static_cast<int64_t>(chunk.size());
+  }
+  return bytes;
+}
+
+}  // namespace
 
 // --- Subscription -------------------------------------------------------
 
@@ -52,6 +64,7 @@ ReplicationHub::ReplicationHub(ReplicationHubOptions options)
 void ReplicationHub::Initialize(uint64_t base_ticket) {
   MutexLock lock(&mutex_);
   history_.clear();
+  history_bytes_ = 0;
   history_base_ = base_ticket;
   last_ticket_.store(base_ticket, std::memory_order_relaxed);
 }
@@ -127,10 +140,12 @@ void ReplicationHub::Publish(uint64_t ticket,
   last_ticket_.store(ticket, std::memory_order_relaxed);
   if (options_.history > 0) {
     history_.push_back(frame);
+    history_bytes_ += FrameBytes(frame);
     if (static_cast<int>(history_.size()) > options_.history) {
       // The evicted ticket stays resumable: every frame past it is
       // still retained.
       history_base_ = history_.front().ticket;
+      history_bytes_ -= FrameBytes(history_.front());
       history_.pop_front();
     }
   } else {
@@ -158,6 +173,11 @@ void ReplicationHub::Publish(uint64_t ticket,
     }
     sub->cv_.NotifyAll();
   }
+}
+
+int64_t ReplicationHub::history_bytes() const {
+  MutexLock lock(&mutex_);
+  return history_bytes_;
 }
 
 void ReplicationHub::Shutdown() {

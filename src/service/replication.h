@@ -136,7 +136,7 @@ class ReplicationHub {
   // Registers a subscriber resuming after `from_ticket`. kDelta: the
   // retained frames past the cursor were enqueued and the stream
   // continues seamlessly. kSnapshot: the caller must send its current
-  // replica image (as of `snapshot_ticket`, which the caller reads
+  // image (as of `snapshot_ticket`, which the caller reads
   // under the lock that orders it against Publish); frames at or below
   // that ticket are filtered out of this subscriber's queue.
   Resume Register(Subscription* sub, uint64_t from_ticket,
@@ -153,6 +153,9 @@ class ReplicationHub {
   // Ends every subscription (Wait returns kDone); Register afterwards
   // yields immediately-finished subscriptions.
   void Shutdown() PQIDX_EXCLUDES(mutex_);
+
+  // Payload bytes of the frames the history window retains.
+  int64_t history_bytes() const PQIDX_EXCLUDES(mutex_);
 
   // The newest published ticket (the Initialize base before the first
   // Publish); heartbeat frames carry it.
@@ -171,6 +174,7 @@ class ReplicationHub {
   mutable Mutex mutex_;
   std::vector<Subscription*> subscribers_ PQIDX_GUARDED_BY(mutex_);
   std::deque<ReplicatedFrame> history_ PQIDX_GUARDED_BY(mutex_);
+  int64_t history_bytes_ PQIDX_GUARDED_BY(mutex_) = 0;
   // A cursor >= history_base_ (and <= last_ticket_) can delta-resume:
   // every frame past it is still retained.
   uint64_t history_base_ PQIDX_GUARDED_BY(mutex_) = 0;

@@ -10,13 +10,12 @@
 //     rejected with a connection-level UNAVAILABLE frame, and edits
 //     beyond `max_write_queue` pending entries get an UNAVAILABLE
 //     response (backpressure instead of unbounded queues);
-//   * lookups run lock-free against an epoch-published LookupEngine
-//     snapshot (core/lookup_engine.h): readers grab the current
-//     shared_ptr<const LookupEngine> and score without touching
-//     index_mutex_, so read throughput scales with reader threads. The
-//     group-commit leader derives the next snapshot from the previous
-//     one and the batch's next bags and atomically swaps it in (the
-//     ForestIndex replica is only read by the write path's validation);
+//   * the epoch-published LookupEngine snapshot (core/lookup_engine.h)
+//     is the server's one in-memory copy of the forest: readers grab
+//     the current shared_ptr<const LookupEngine> and score without any
+//     lock held, so read throughput scales with reader threads; the
+//     write path validates edits against it by point probes; stats()
+//     and subscriber snapshots read it too;
 //   * writes go through group commit: a writer enqueues its edit and,
 //     when no batch leader is active, becomes the leader: it drains the
 //     queue and applies the whole batch as ONE WAL transaction
@@ -25,15 +24,16 @@
 //     the next batch, amortizing durability cost exactly where the
 //     paper's incremental update makes the writes themselves cheap.
 //     Exactly one leader commits at a time, so the WAL, the snapshot
-//     publish, the replica delta and the replication hub all see batches
-//     in queue order, and a recovered store is exactly the state before
-//     or after a batch. On a store of two or more shards the leader fans
+//     publish and the replication hub all see batches in queue order,
+//     and a recovered store is exactly the state before or after a
+//     batch. On a store of two or more shards the leader fans
 //     the group commit's per-shard prepare/finish across a pool sized
 //     from the store (the only write-path parallelism);
 //   * snapshots are published incrementally: the leader derives the next
 //     LookupEngine epoch from the previous one via
-//     LookupEngine::ApplyDelta, merging the batch's bags into the shards
-//     owning touched trees and sharing every other shard.
+//     LookupEngine::ApplyDelta, folding each touched tree's net count
+//     delta (Lemma 2) into the shards that own it and sharing every
+//     other shard.
 //
 // Responses are sent only after the edit is durable (commit before ack).
 // Invalid edits (unknown tree, duplicate add, minus bag not a sub-bag of
@@ -56,7 +56,6 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
-#include "core/forest_index.h"
 #include "core/lookup_engine.h"
 #include "service/transport.h"
 #include "service/wire.h"
@@ -94,12 +93,13 @@ struct ServerOptions {
   // or 2x lookup_threads when that is larger. Results never depend on
   // the shard count.
   //
-  // Trade-off: snapshot publication sits on the write-ack path (outside
-  // index_mutex_, so concurrent lookups and stats() never wait on it):
-  // a committed edit is always visible to the next lookup once its
-  // response arrives (read-your-writes). Incremental publication
-  // (LookupEngine::ApplyDelta) makes that cost a linear merge of the
-  // shards the batch touched instead of O(total postings).
+  // Trade-off: snapshot publication sits on the write-ack path (no lock
+  // is held while it merges, so concurrent lookups and stats() never
+  // wait on it): a committed edit is always visible to the next lookup
+  // once its response arrives (read-your-writes). Incremental
+  // publication (LookupEngine::ApplyDelta) makes that cost a linear
+  // merge of the shards the batch touched instead of O(total
+  // postings).
   int lookup_shards = 0;
   // Replication fan-out (service/replication.h): when on, every
   // committed batch is published to subscribed followers and kSubscribe
@@ -116,10 +116,9 @@ struct ServerOptions {
   // Byte budget (MiB) of the epoch-keyed query-result cache serving
   // kLookup / kTopK (core/query_cache.h). Entries are keyed per engine
   // shard, so incremental snapshot publishes keep results for untouched
-  // shards warm; a re-partition invalidates wholesale. 0 (or
-  // query_cache_off) disables the cache entirely.
+  // shards warm; a re-partition invalidates wholesale. 0 disables the
+  // cache entirely.
   int query_cache_mb = 32;
-  bool query_cache_off = false;
 };
 
 class Server {
@@ -132,7 +131,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Builds the serving replica and starts accepting on `listener`. A
+  // Builds the initial lookup snapshot and starts accepting on `listener`. A
   // null listener starts the server without a network endpoint (it is
   // then driven in-process: lookups via a follower's streamed state,
   // writes via ApplyReplicated). Starting a started server returns
@@ -143,18 +142,18 @@ class Server {
   // handlers. Idempotent; also run by the destructor.
   void Stop() PQIDX_EXCLUDES(connections_mutex_);
 
-  ServiceStats stats() const PQIDX_EXCLUDES(index_mutex_);
+  ServiceStats stats() const PQIDX_EXCLUDES(engine_mutex_);
 
   // Applies a run of streamed delta frames (ascending tickets) as ONE
   // group-commit batch: one WAL transaction stamped with the newest
-  // ticket, one replica delta, one snapshot epoch, one hub publish per
+  // ticket, one snapshot epoch, one hub publish per
   // frame's worth of state (coalesced under the newest ticket). Frames
   // at or below the store's durable cursor are skipped (duplicates
   // after a reconnect). Only valid on a read-only server; any edit the
   // leader committed but this store rejects means divergence and
   // returns DATA_LOSS.
   Status ApplyReplicated(std::vector<DeltaFrame> frames)
-      PQIDX_EXCLUDES(write_mutex_, index_mutex_, engine_mutex_);
+      PQIDX_EXCLUDES(write_mutex_, engine_mutex_);
 
   // The replication hub (null when ServerOptions::replication is off).
   ReplicationHub* hub() const { return hub_.get(); }
@@ -204,50 +203,69 @@ class Server {
   // handler loop ends when this returns.
   void ServeSubscriber(const std::shared_ptr<Connection>& conn,
                        const FrameHeader& header, std::string_view payload)
-      PQIDX_EXCLUDES(index_mutex_);
+      PQIDX_EXCLUDES(engine_mutex_);
 
   // Group commit: blocks until `edit` is durable (or rejected) and
   // returns its result. The calling thread may serve as batch leader.
   Status SubmitEdit(PendingEdit* edit) PQIDX_EXCLUDES(write_mutex_);
 
-  // One validated batch: the composed next bag per touched tree, and the
-  // store edits in batch order with their positions in the batch.
+  // One touched tree's net change within a batch, in the engine's
+  // update form (LookupEngine::TreeUpdate). A tree the batch adds is a
+  // replacement whose `plus` is its whole next bag; any other tree
+  // carries its net count delta against the published snapshot, with
+  // no fingerprint in both `plus` and `minus`.
+  struct TreeChange {
+    bool replace = false;
+    PqGramIndex plus;
+    PqGramIndex minus;
+
+    // The tree's count of `fp` after this change, where `published` is
+    // its count in the snapshot (unread for a replacement).
+    int64_t CountAfter(PqGramFingerprint fp, int64_t published) const;
+    // Folds one validated edit (remove `edit_minus`, add `edit_plus`)
+    // into the change.
+    void Fold(const PqGramIndex& edit_plus, const PqGramIndex& edit_minus);
+  };
+
+  // One validated batch: the net change per touched tree, and the store
+  // edits in batch order with their positions in the batch.
   struct StagedBatch {
-    std::map<TreeId, PqGramIndex> scratch;
+    std::map<TreeId, TreeChange> changes;
     std::vector<PersistentForestIndex::BatchEdit> edits;
     std::vector<size_t> edit_to_batch;
   };
 
-  // Runs one batch as the sole leader: validates + composes it
-  // (ValidateBatch), commits the WAL transaction (durably stamped with
-  // `cursor`, the replication cursor), publishes the next snapshot
-  // epoch, applies the replica delta, and hands the batch's delta frame
-  // to the hub. The caller holds the leader slot (leader_active_).
+  // Runs one batch as the sole leader: validates it (ValidateBatch),
+  // commits the WAL transaction (durably stamped with `cursor`, the
+  // replication cursor), publishes the next snapshot epoch, and hands
+  // the batch's delta frame to the hub. The caller holds the leader
+  // slot (leader_active_).
   void CommitBatch(const std::vector<PendingEdit*>& batch, uint64_t cursor)
-      PQIDX_EXCLUDES(index_mutex_, engine_mutex_);
+      PQIDX_EXCLUDES(engine_mutex_);
 
-  // Validation + next-bag composition under index_mutex_ held shared:
-  // checks each edit, in batch order, against the replica overlaid with
-  // the bags composed earlier in the batch (so an add and later updates
-  // of one tree chain), and fills `staged`. Reads shared state only;
-  // the replica changes only in CommitBatch, which the leader slot
-  // serializes with this.
+  // Checks each edit, in batch order, against the published snapshot
+  // plus the net change the batch already made to its tree (so an add
+  // and later updates of one tree chain), and fills `staged`. Only the
+  // leader publishes, and the leader slot serializes this with its
+  // publish, so the snapshot read here is the last committed state.
   void ValidateBatch(const std::vector<PendingEdit*>& batch,
-                     StagedBatch* staged) PQIDX_EXCLUDES(index_mutex_);
+                     StagedBatch* staged) PQIDX_EXCLUDES(engine_mutex_);
 
   // The current lookup snapshot (never null after Start()).
   std::shared_ptr<const LookupEngine> EngineSnapshot() const
       PQIDX_EXCLUDES(engine_mutex_);
   // Publishes the next snapshot epoch, merged from the previous one and
-  // `bags` (a committed batch's next bag per touched tree). Reads no
-  // server state but the current snapshot; the batch leader calls it,
-  // so epochs advance in batch order.
-  void PublishEngine(const std::map<TreeId, PqGramIndex>& bags)
-      PQIDX_EXCLUDES(engine_mutex_);
-  // Swaps in `next` (compiled in `us` microseconds), reclaims the dead
-  // result-cache entries, and updates the epoch counters and gauges.
-  void InstallEngine(std::shared_ptr<const LookupEngine> next, int64_t us)
-      PQIDX_EXCLUDES(engine_mutex_);
+  // `changes` (a committed batch's net change per touched tree), as of
+  // replication cursor `ticket`. Reads no server state but the current
+  // snapshot; the batch leader calls it, so epochs advance in batch
+  // order.
+  void PublishEngine(const std::map<TreeId, TreeChange>& changes,
+                     uint64_t ticket) PQIDX_EXCLUDES(engine_mutex_);
+  // Swaps in `next` (compiled in `us` microseconds) as the state at
+  // `ticket`, reclaims the dead result-cache entries, and updates the
+  // epoch counters and gauges.
+  void InstallEngine(std::shared_ptr<const LookupEngine> next, int64_t us,
+                     uint64_t ticket) PQIDX_EXCLUDES(engine_mutex_);
 
   ShardedStore* const index_;
   const ServerOptions options_;
@@ -257,22 +275,17 @@ class Server {
   // request handlers read it lock-free.
   PqShape shape_;
 
-  // Write-path state: replica_ is the bag-level view batch leaders
-  // validate against and update together with the store. Lookups do
-  // NOT read it.
-  mutable SharedMutex index_mutex_;
-  ForestIndex replica_ PQIDX_GUARDED_BY(index_mutex_);
-  // The replication cursor replica_ reflects: the leader advances it
-  // together with the replica delta, so a subscriber that registers and
-  // snapshots replica_ under one ReaderLock gets an image consistent
-  // with this ticket (service/replication.h).
-  uint64_t replica_ticket_ PQIDX_GUARDED_BY(index_mutex_) = 0;
-
-  // Read-path state: the immutable snapshot lookups score against.
-  // engine_mutex_ only guards the pointer swap/copy (nanoseconds);
-  // scoring itself runs on a private shared_ptr copy with no lock held.
+  // The immutable snapshot lookups score against and the write path
+  // validates against. engine_mutex_ only guards the pointer swap/copy
+  // (nanoseconds); scoring and encoding run on a private shared_ptr
+  // copy with no lock held.
   mutable Mutex engine_mutex_;
   std::shared_ptr<const LookupEngine> engine_ PQIDX_GUARDED_BY(engine_mutex_);
+  // The replication cursor engine_ reflects, installed together with it
+  // BEFORE the batch's hub Publish, so a subscriber that registers and
+  // takes engine_ under one engine_mutex_ scope gets an image
+  // consistent with this ticket (service/replication.h).
+  uint64_t engine_ticket_ PQIDX_GUARDED_BY(engine_mutex_) = 0;
   // Epoch-keyed result cache for kLookup / kTopK (null when disabled).
   // Internally synchronized; InstallEngine reconciles it against the
   // new snapshot's shard uids after every swap.
@@ -335,6 +348,8 @@ class Server {
   Histogram* m_write_queue_wait_us_;
   Gauge* m_engine_bytes_;
   Gauge* m_query_cache_bytes_;
+  Gauge* m_pager_pool_bytes_;
+  Gauge* m_replication_ring_bytes_;
   Gauge* m_commit_fanout_threads_;
   Gauge* m_queue_depth_;
   Gauge* m_active_connections_;

@@ -286,23 +286,22 @@ StatusOr<DeltaFrame> DeltaFrame::Decode(std::string_view payload) {
   return frame;
 }
 
-std::vector<std::string> EncodeDeltaFrameChunks(
+std::string EncodeDeltaEntry(const DeltaEntryView& entry) {
+  ByteWriter writer;
+  writer.PutSignedVarint(entry.tree_id);
+  writer.PutU8(entry.is_add ? 1 : 0);
+  entry.plus->Serialize(&writer);
+  if (!entry.is_add) entry.minus->Serialize(&writer);
+  return writer.Release();
+}
+
+std::vector<std::string> PackDeltaFrameChunks(
     uint64_t ticket, int64_t publish_us,
-    const std::vector<DeltaEntryView>& entries, size_t max_payload) {
-  // Encode each entry once, then pack greedily: a chunk closes when the
-  // next entry would push it past `max_payload`. A single entry larger
-  // than the budget still becomes its own chunk (kMaxEditPayload keeps
-  // such an entry under the hard frame limit).
-  std::vector<std::string> encoded;
-  encoded.reserve(entries.size());
-  for (const DeltaEntryView& entry : entries) {
-    ByteWriter writer;
-    writer.PutSignedVarint(entry.tree_id);
-    writer.PutU8(entry.is_add ? 1 : 0);
-    entry.plus->Serialize(&writer);
-    if (!entry.is_add) entry.minus->Serialize(&writer);
-    encoded.push_back(writer.Release());
-  }
+    const std::vector<std::string>& encoded, size_t max_payload) {
+  // Greedy: a chunk closes when the next entry would push it past
+  // `max_payload`. A single entry larger than the budget still becomes
+  // its own chunk (kMaxEditPayload keeps such an entry under the hard
+  // frame limit).
   std::vector<std::string> chunks;
   size_t i = 0;
   do {
@@ -323,6 +322,17 @@ std::vector<std::string> EncodeDeltaFrameChunks(
     chunks.push_back(std::move(chunk));
   } while (i < encoded.size());
   return chunks;
+}
+
+std::vector<std::string> EncodeDeltaFrameChunks(
+    uint64_t ticket, int64_t publish_us,
+    const std::vector<DeltaEntryView>& entries, size_t max_payload) {
+  std::vector<std::string> encoded;
+  encoded.reserve(entries.size());
+  for (const DeltaEntryView& entry : entries) {
+    encoded.push_back(EncodeDeltaEntry(entry));
+  }
+  return PackDeltaFrameChunks(ticket, publish_us, encoded, max_payload);
 }
 
 std::vector<std::string> EncodeDeltaFrameChunks(const DeltaFrame& frame,

@@ -209,6 +209,16 @@ struct DeltaEntryView {
   const PqGramIndex* minus = nullptr;
 };
 
+// One entry's encoding inside a delta-frame chunk.
+std::string EncodeDeltaEntry(const DeltaEntryView& entry);
+
+// Packs encoded entries (EncodeDeltaEntry) into one or more chunk
+// payloads, as EncodeDeltaFrameChunks does.
+std::vector<std::string> PackDeltaFrameChunks(
+    uint64_t ticket, int64_t publish_us,
+    const std::vector<std::string>& encoded,
+    size_t max_payload = kMaxFramePayload - 64);
+
 // Splits one batch into one or more encoded chunk payloads, each at
 // most `max_payload` bytes (oversized single entries get a chunk of
 // their own; kMaxEditPayload guarantees those still fit a frame).

@@ -62,6 +62,9 @@ class Pager {
   // commit).
   PageId page_count() const { return page_count_; }
 
+  // Pages the buffer pool holds right now (clean and dirty).
+  int cached_pages() const { return static_cast<int>(pool_.size()); }
+
   // Appends a zeroed page and returns its id.
   StatusOr<PageId> AllocatePage();
 

@@ -235,6 +235,12 @@ int ShardedStore::size() const {
   return total;
 }
 
+int64_t ShardedStore::PoolBytes() const {
+  int64_t pages = 0;
+  for (const auto& shard : shards_) pages += shard->pager().cached_pages();
+  return pages * kPageSize;
+}
+
 std::vector<TreeId> ShardedStore::TreeIds() const {
   std::vector<TreeId> ids;
   for (const auto& shard : shards_) {

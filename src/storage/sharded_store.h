@@ -95,6 +95,10 @@ class ShardedStore {
   std::vector<TreeId> TreeIds() const;
   int64_t TreeBagSize(TreeId id) const;
 
+  // Bytes of page data the shards' buffer pools hold (cached pages x
+  // kPageSize). Not safe concurrently with a commit or a read.
+  int64_t PoolBytes() const;
+
   // The durable replication cursor / group-commit ticket, reconciled
   // across manifest and shards. Safe to read concurrently with commits.
   uint64_t replication_cursor() const {

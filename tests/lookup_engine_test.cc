@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -802,6 +803,20 @@ void ExpectExactSnapshot(const LookupEngine& engine, const ForestIndex& forest,
     postings += static_cast<int64_t>(forest.Find(id)->counts().size());
   }
   EXPECT_EQ(engine.posting_entries(), postings) << what;
+  // The point probes and the bag walk read the forest back exactly.
+  std::vector<TreeId> walked;
+  engine.ForEachBag([&](TreeId id, const PqGramIndex& bag) {
+    walked.push_back(id);
+    const PqGramIndex* want = forest.Find(id);
+    ASSERT_NE(want, nullptr) << what << " walked tree " << id;
+    EXPECT_TRUE(bag == *want) << what << " walked tree " << id;
+    EXPECT_TRUE(engine.Contains(id)) << what;
+    for (const auto& [fp, count] : want->counts()) {
+      EXPECT_EQ(engine.Count(id, fp), count) << what << " tree " << id;
+      EXPECT_EQ(engine.Count(id, fp + 1), want->Count(fp + 1)) << what;
+    }
+  });
+  EXPECT_EQ(walked, forest.TreeIds()) << what;
   for (double tau : kTaus) {
     ExpectSameResults(engine.Lookup(query, tau), forest.Lookup(query, tau),
                       what);
@@ -811,17 +826,33 @@ void ExpectExactSnapshot(const LookupEngine& engine, const ForestIndex& forest,
   }
 }
 
-// The bag-based merge under a randomized edit log: updates, removals,
-// inserts below the first shard's range, above the last and into the
-// gaps between, empty bags, counts above INT32_MAX and repeated ids in
-// one delta. After every publish each shard must equal a from-scratch
-// freeze of the same trees.
+// The Lemma 2 form of one tree's change from `old` to `next`: `plus`
+// gets the counts `next` gains, `minus` the counts it loses.
+void Lemma2Delta(const PqGramIndex& old, const PqGramIndex& next,
+                 PqGramIndex* plus, PqGramIndex* minus) {
+  for (const auto& [fp, count] : next.counts()) {
+    plus->Add(fp, std::max<int64_t>(0, count - old.Count(fp)));
+  }
+  for (const auto& [fp, count] : old.counts()) {
+    minus->Add(fp, std::max<int64_t>(0, count - next.Count(fp)));
+  }
+}
+
+// The merge under random Lemma 2 updates, several kinds in one publish:
+// count deltas from edit logs (a fingerprint in both plus and minus
+// included), deltas that cancel every old count to zero and bring new
+// fingerprints, adds below the first shard's range, above the last and
+// into the gaps between, empty bags, removals (one of an id never
+// indexed), and counts crossing INT32_MAX in both directions. After
+// every publish each shard must equal a from-scratch freeze of the same
+// trees, and the probes and the bag walk must read the forest back.
 TEST(LookupEngineTest, ApplyDeltaMergeEqualsFreshFreeze) {
   Rng rng(97);
   auto dict = std::make_shared<LabelDict>();
   const PqShape shape{2, 3};
   const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
   ForestIndex forest(shape);
+  // Trees whose bag still matches their document (edit-log targets).
   std::map<TreeId, Tree> docs;
   // Even ids 100..158: odd ids and ids outside [100, 158] are free.
   for (TreeId id = 100; id < 160; id += 2) {
@@ -839,73 +870,126 @@ TEST(LookupEngineTest, ApplyDeltaMergeEqualsFreshFreeze) {
       Metrics::Default().counter("lookup_engine.repartitions");
   TreeId below = 99;
   TreeId above = 160;
+  std::map<TreeId, int64_t> widened;  // tree -> count added on wide_fp
   for (int round = 0; round < 40; ++round) {
-    std::vector<TreeId> changed;
+    std::deque<PqGramIndex> bags;  // stable addresses for `updates`
+    std::vector<LookupEngine::TreeUpdate> updates;
     auto pick = [&] {
       auto it = docs.begin();
       std::advance(it, static_cast<long>(rng.NextBounded(docs.size())));
       return it;
     };
+    auto touched = [&](TreeId id) {
+      for (const LookupEngine::TreeUpdate& u : updates) {
+        if (u.id == id) return true;
+      }
+      return false;
+    };
+    // A count delta: folded into the oracle and queued for the engine.
+    auto fold = [&](TreeId id, PqGramIndex plus, PqGramIndex minus) {
+      PqGramIndex next = *forest.Find(id);
+      for (const auto& [fp, count] : plus.counts()) next.Add(fp, count);
+      for (const auto& [fp, count] : minus.counts()) next.Remove(fp, count);
+      forest.AddIndex(id, std::move(next));
+      const PqGramIndex* p = &bags.emplace_back(std::move(plus));
+      updates.push_back({id, false, p, &bags.emplace_back(std::move(minus))});
+    };
+    auto replace = [&](TreeId id, const PqGramIndex* bag) {
+      updates.push_back({id, true, bag, nullptr});
+    };
     switch (round % 5) {
-      case 0: {  // updates through edit logs
+      case 0: {  // edit-log deltas, one carrying a fingerprint both ways
         for (int e = 0; e < 3; ++e) {
           auto it = pick();
+          if (touched(it->first)) continue;
+          const PqGramIndex old = *forest.Find(it->first);
           EditLog log;
           GenerateEditScript(&it->second, &rng, 8, EditScriptOptions{},
                              &log);
           ASSERT_TRUE(forest.ApplyLog(it->first, it->second, log).ok());
-          changed.push_back(it->first);
+          PqGramIndex plus(shape);
+          PqGramIndex minus(shape);
+          Lemma2Delta(old, *forest.Find(it->first), &plus, &minus);
+          if (e == 0 && !old.empty()) {
+            plus.Add(old.counts().begin()->first, 2);
+            minus.Add(old.counts().begin()->first, 2);
+          }
+          forest.AddIndex(it->first, old);
+          fold(it->first, std::move(plus), std::move(minus));
         }
         break;
       }
-      case 1: {  // removals, one of an id never indexed
-        for (int e = 0; e < 2 && docs.size() > 4; ++e) {
+      case 1: {  // removals, then every old count cancelled to zero
+        for (int e = 0; e < 2 && docs.size() > 6; ++e) {
           auto it = pick();
           ASSERT_TRUE(forest.RemoveTree(it->first));
-          changed.push_back(it->first);
+          replace(it->first, nullptr);
+          widened.erase(it->first);
           docs.erase(it);
         }
-        changed.push_back(1000000);
+        replace(1000000, nullptr);
+        auto it = pick();
+        PqGramIndex plus(shape);
+        for (int i = 0; i < 5; ++i) plus.Add(rng.Next() | 1, 1 + i);
+        const TreeId id = it->first;
+        widened.erase(id);
+        docs.erase(it);
+        fold(id, std::move(plus), *forest.Find(id));
         break;
       }
-      case 2: {  // inserts below the first range and above the last
+      case 2: {  // adds below the first range and above the last
         for (TreeId id : {below--, above++, below--}) {
           Tree doc = GenerateDblpLike(dict, &rng, 30);
           forest.AddTree(id, doc);
           docs.insert_or_assign(id, std::move(doc));
-          changed.push_back(id);
+          replace(id, forest.Find(id));
         }
         break;
       }
-      case 3: {  // an empty bag (kept out of `docs`) and a gap insert
+      case 3: {  // an empty add, a gap add, a tree emptied by its delta
         forest.AddIndex(below, PqGramIndex(shape));
-        changed.push_back(below--);
+        replace(below, forest.Find(below));
+        --below;
         for (TreeId id = 101; id < 160; id += 2) {
           if (forest.Find(id) == nullptr) {
             Tree doc = GenerateDblpLike(dict, &rng, 30);
             forest.AddTree(id, doc);
             docs.insert_or_assign(id, std::move(doc));
-            changed.push_back(id);
+            replace(id, forest.Find(id));
             break;
           }
         }
+        auto it = pick();
+        if (!touched(it->first)) {
+          const TreeId id = it->first;
+          widened.erase(id);
+          docs.erase(it);
+          fold(id, PqGramIndex(shape), *forest.Find(id));
+        }
         break;
       }
-      case 4: {  // a count beyond INT32_MAX, then grown further
+      case 4: {  // a count grown beyond INT32_MAX; an older one shrunk back
+        if (!widened.empty()) {
+          const auto [id, added] = *widened.begin();
+          widened.erase(widened.begin());
+          PqGramIndex minus(shape);
+          minus.Add(wide_fp, added);
+          fold(id, PqGramIndex(shape), std::move(minus));
+        }
         auto it = pick();
-        PqGramIndex bag = *forest.Find(it->first);
-        bag.Add(wide_fp, kWide + round);
-        forest.AddIndex(it->first, std::move(bag));
-        changed.push_back(it->first);
+        if (touched(it->first)) break;
+        PqGramIndex plus(shape);
+        plus.Add(wide_fp, kWide + round);
+        widened[it->first] = kWide + round;
+        fold(it->first, std::move(plus), PqGramIndex(shape));
         break;
       }
     }
-    // The bag-based entry point; a repeated id's last update wins, so a
-    // stale first mention of a changed tree must not leak through.
-    std::vector<LookupEngine::BagUpdate> updates;
-    const PqGramIndex stale(shape);
-    for (TreeId id : changed) updates.push_back({id, &stale});
-    for (TreeId id : changed) updates.push_back({id, forest.Find(id)});
+    // Replacements read their bag from `forest`, which must not move
+    // the bags any more until the publish: take them only now.
+    for (LookupEngine::TreeUpdate& u : updates) {
+      if (u.replace) u.plus = forest.Find(u.id);
+    }
     const std::vector<uint64_t> before = engine->ShardUids();
     const int64_t repartitions_before = repartitions->value();
     engine = LookupEngine::ApplyDelta(engine, updates);
@@ -920,7 +1004,7 @@ TEST(LookupEngineTest, ApplyDeltaMergeEqualsFreshFreeze) {
         shared += after[s] == before[s] ? 1 : 0;
       }
       EXPECT_GE(shared, static_cast<int>(after.size()) -
-                            static_cast<int>(changed.size()));
+                            static_cast<int>(updates.size()));
     }
   }
 }
@@ -943,7 +1027,8 @@ TEST(LookupEngineTest, SequentialAddsStayBalancedAndExact) {
   for (TreeId id = 0; id < 80; ++id) {
     forest.AddTree(id, GenerateDblpLike(dict, &rng, 30));
     const std::vector<uint64_t> before = engine->ShardUids();
-    engine = LookupEngine::ApplyDelta(engine, {{id, forest.Find(id)}});
+    engine =
+        LookupEngine::ApplyDelta(engine, {{id, true, forest.Find(id)}});
     const std::vector<uint64_t> after = engine->ShardUids();
     // A merge keeps every untouched shard; a re-partition mints all-new
     // uids (and may change the shard count).

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -225,6 +226,24 @@ TEST(ReplicationHubTest, ResumeDecisionsAreRangeChecks) {
   hub.Register(&late, 13, false, 13);
   EXPECT_EQ(late.Wait(1000, &frame), Subscription::Next::kDone);
   hub.Unregister(&late);
+}
+
+// history_bytes (the replication_ring gauge's source) is the sum of the
+// retained frames' chunk sizes, through eviction and re-initialization.
+TEST(ReplicationHubTest, HistoryBytesSumRetainedChunks) {
+  ReplicationHubOptions options;
+  options.history = 2;
+  ReplicationHub hub(options);
+  hub.Initialize(0);
+  EXPECT_EQ(hub.history_bytes(), 0);
+  hub.Publish(1, {std::string(100, 'a'), std::string(20, 'b')});
+  EXPECT_EQ(hub.history_bytes(), 120);
+  hub.Publish(2, {std::string(7, 'c')});
+  EXPECT_EQ(hub.history_bytes(), 127);
+  hub.Publish(3, {std::string(1000, 'd')});  // evicts ticket 1
+  EXPECT_EQ(hub.history_bytes(), 1007);
+  hub.Initialize(3);
+  EXPECT_EQ(hub.history_bytes(), 0);
 }
 
 TEST(ReplicationHubTest, SlowSubscriberIsDropped) {
@@ -565,33 +584,51 @@ TEST(ReplicationStressTest, GroupCommitsStreamToLiveFollower) {
       }
     });
   }
+  // A second follower joins mid-storm from an empty store, so the
+  // leader must ship a snapshot image (from_ticket 0 against a
+  // populated leader) while the writers keep committing: registration
+  // and the image's ticket come from one engine_mutex_ scope, so no
+  // frame may be lost or applied twice around the handoff.
+  while (leader.server->stats().tree_count < kWriters * kTreesPerWriter / 4) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  RemoveStore("repl_follower_stress2.db");
+  FollowerHarness late(leader.connect_point, "repl_follower_stress2.db");
+  ASSERT_TRUE(late.follower->Start().ok());
   for (std::thread& thread : writers) thread.join();
   done.store(true, std::memory_order_relaxed);
   follower_reader.join();
 
   MustConverge(leader.server.get(), standby.follower.get());
+  MustConverge(leader.server.get(), late.follower.get());
   EXPECT_TRUE(standby.follower->stream_status().ok());
+  EXPECT_TRUE(late.follower->stream_status().ok());
+  EXPECT_EQ(late.follower->server()->stats().tree_count,
+            kWriters * kTreesPerWriter);
 
-  // Leader and follower answer bit-identically after the storm.
+  // Leader and both followers answer bit-identically after the storm.
   std::unique_ptr<Client> at_leader = leader.MustConnect();
-  std::unique_ptr<Client> at_follower = standby.MustConnect();
-  for (int w = 0; w < kWriters; ++w) {
-    for (int i = 0; i < kTreesPerWriter; i += 6) {
-      const Tree& query = final_trees[static_cast<size_t>(w)]
-                                     [static_cast<size_t>(i)];
-      StatusOr<std::vector<LookupResult>> a = at_leader->Lookup(query, 0.5);
-      StatusOr<std::vector<LookupResult>> b =
-          at_follower->Lookup(query, 0.5);
-      ASSERT_TRUE(a.ok()) << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << b.status().ToString();
-      ASSERT_EQ(a->size(), b->size());
-      for (size_t k = 0; k < a->size(); ++k) {
-        EXPECT_EQ((*a)[k].tree_id, (*b)[k].tree_id);
-        EXPECT_EQ((*a)[k].distance, (*b)[k].distance);
+  for (FollowerHarness* harness : {&standby, &late}) {
+    std::unique_ptr<Client> at_follower = harness->MustConnect();
+    for (int w = 0; w < kWriters; ++w) {
+      for (int i = 0; i < kTreesPerWriter; i += 6) {
+        const Tree& query = final_trees[static_cast<size_t>(w)]
+                                       [static_cast<size_t>(i)];
+        StatusOr<std::vector<LookupResult>> a = at_leader->Lookup(query, 0.5);
+        StatusOr<std::vector<LookupResult>> b =
+            at_follower->Lookup(query, 0.5);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        ASSERT_EQ(a->size(), b->size());
+        for (size_t k = 0; k < a->size(); ++k) {
+          EXPECT_EQ((*a)[k].tree_id, (*b)[k].tree_id);
+          EXPECT_EQ((*a)[k].distance, (*b)[k].distance);
+        }
       }
     }
   }
 
+  late.follower->Stop();
   standby.follower->Stop();
   leader.server->Stop();
 }

@@ -643,7 +643,7 @@ TEST(ServiceTest, QueryCacheServesRepeatsAndSurvivesEdits) {
 TEST(ServiceTest, QueryCacheOffServesIdenticalAnswers) {
   const PqShape shape{2, 2};
   ServerOptions options;
-  options.query_cache_off = true;
+  options.query_cache_mb = 0;
   TestService service("svc_qcache_off.db", shape, options);
   std::unique_ptr<Client> client = service.MustConnect();
 
@@ -700,6 +700,40 @@ TEST(ServiceTest, ApplyEditsMatchesInMemoryLibrary) {
   StatusOr<PqGramIndex> on_disk = service.index->MaterializeIndex(1);
   ASSERT_TRUE(on_disk.ok());
   EXPECT_EQ(*on_disk, BuildIndex(doc, shape));
+}
+
+// The lookup snapshot is the server's one in-memory copy of the forest:
+// its tree count tracks the store through accepted and rejected edits,
+// and the pager-pool gauge reports exactly the store's cached pages.
+TEST(ServiceTest, TreeCountAndPoolGaugeTrackTheStore) {
+  const PqShape shape{2, 2};
+  TestService service("svc_tree_count.db", shape);
+  std::unique_ptr<Client> client = service.MustConnect();
+  const Gauge* pool_bytes =
+      Metrics::Default().gauge("server.resident_bytes.pager_pool");
+
+  Rng rng(29);
+  std::vector<PqGramIndex> bags;
+  for (TreeId id = 0; id < 5; ++id) {
+    bags.push_back(BuildIndex(GenerateDblpLike(nullptr, &rng, 30), shape));
+    ASSERT_TRUE(client->AddIndex(id, bags.back()).ok());
+    EXPECT_EQ(service.server->stats().tree_count, service.index->size());
+  }
+  EXPECT_EQ(client->AddIndex(2, bags[2]).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.server->stats().tree_count, service.index->size());
+  // One more of a fingerprint the tree holds: not a sub-bag.
+  PqGramIndex too_much(shape);
+  const auto& [fp, count] = *bags[1].counts().begin();
+  too_much.Add(fp, count + 1);
+  EXPECT_EQ(client->ApplyDeltas(1, PqGramIndex(shape), too_much).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.server->stats().tree_count, service.index->size());
+  EXPECT_EQ(service.index->size(), 5);
+  // The last commit set the gauge; no commit runs now.
+  EXPECT_GT(pool_bytes->value(), 0);
+  EXPECT_EQ(pool_bytes->value(), service.index->PoolBytes());
+  EXPECT_EQ(pool_bytes->value() % kPageSize, 0);
 }
 
 TEST(ServiceTest, InvalidEditsAreRejectedWithoutDisturbingTheIndex) {
@@ -1611,13 +1645,12 @@ TEST(ServiceMetricsTest, WriteQueueWaitAndCommitFanoutGauge) {
   }
 }
 
-// Regression test (runs under TSan in CI): stats() used to read
-// replica_.shape() without holding index_mutex_ while the commit leader
-// mutates replica_ -- found by the thread-safety annotation retrofit
-// (the shape is now cached in an immutable-after-Start member). This
-// hammers stats() against a write-heavy workload so any reintroduced
-// unlocked replica_ access that touches mutated memory (verified for
-// an unlocked replica_.size() read) shows up as a TSan report.
+// Regression test (runs under TSan in CI): stats() once read the
+// forest's shape from state the commit leader mutates (the shape is now
+// cached in an immutable-after-Start member, and the tree count comes
+// from the published snapshot). This hammers stats() against a
+// write-heavy workload so any reintroduced unlocked read of mutated
+// server state shows up as a TSan report.
 TEST(ServiceStressTest, StatsRaceWritersRegression) {
   ServerOptions options;
   options.max_connections = 4;

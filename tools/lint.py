@@ -24,7 +24,7 @@ common/check.h) that generic linters don't know about:
   R7  every PQIDX_NO_THREAD_SAFETY_ANALYSIS escape hatch carries a
       justification: a comment containing `no-tsa:` on the same line or
       within the preceding lines
-  R8  every Mutex / SharedMutex member is referenced by at least one
+  R8  every Mutex member is referenced by at least one
       PQIDX_* thread-safety annotation in the same file (GUARDED_BY,
       REQUIRES, EXCLUDES, ACQUIRE, ...): an unannotated capability
       member means the analysis silently checks nothing for it
@@ -55,7 +55,7 @@ RAW_SYNC_RE = re.compile(
     r"scoped_lock)\b|"
     r"#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>")
 CAPABILITY_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:Mutex|SharedMutex)\s+(\w+)\s*;")
+    r"^\s*(?:mutable\s+)?Mutex\s+(\w+)\s*;")
 SMART_PTR_WRAP = re.compile(r"\b(?:unique_ptr|shared_ptr)\s*<[^;]*>\s*\w*\s*\(\s*$|"
                             r"\b(?:unique_ptr|shared_ptr)\s*<[^;]*\(\s*new\b")
 EXIT_ALLOWED_FILES = {os.path.join("src", "common", "check.h")}

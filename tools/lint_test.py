@@ -135,7 +135,7 @@ case("r8_guarded_by_reference_ok",
 case("r8_excludes_reference_ok",
      {"src/a.h": GUARD_TOP +
       "class C {\n void F() PQIDX_EXCLUDES(mutex_);\n"
-      " SharedMutex mutex_;\n};\n" + GUARD_BOTTOM}, set())
+      " Mutex mutex_;\n};\n" + GUARD_BOTTOM}, set())
 case("r8_similar_name_not_confused",
      {"src/a.h": GUARD_TOP +
       "class C {\n Mutex mu_;\n"

@@ -45,8 +45,7 @@
 //               [--lookup-threads N] [--stats-interval SECS]
 //               [--replication-history N]
 //               [--replication-max-queue N] [--follow HOST:PORT]
-//               [--query-cache-mb N] [--query-cache-off]
-//               [--store-shards N]
+//               [--query-cache-mb N] [--store-shards N]
 //       Serves a persistent forest index over the pqidxd wire protocol on
 //       127.0.0.1 (an ephemeral port unless --port is given). Creates the
 //       store with the given shape if nothing exists at the path yet:
@@ -58,13 +57,13 @@
 //       SECS seconds. Edits are group-committed by one leader at a time;
 //       on a sharded store each commit's per-shard prepare/finish runs
 //       on min(shards, cores) threads. Lookup snapshots are maintained
-//       incrementally (each commit's bags are merged into the shards
-//       they touch). Stop with SIGINT/SIGTERM; final service
+//       incrementally (each commit's count deltas are folded into the
+//       shards they touch). Stop with SIGINT/SIGTERM; final service
 //       statistics and the full registry are printed on exit.
 //       --query-cache-mb N sizes the epoch-keyed query-result cache
 //       serving kLookup/kTopK (default 32 MiB; hit/miss/evict/stale
 //       counters show up as query_cache.* in `pqidx stats host:port`);
-//       --query-cache-off disables it.
+//       --query-cache-mb 0 disables it.
 //
 //       Any serving pqidxd is also a replication leader: followers
 //       subscribe to its committed-batch stream. --replication-history N
@@ -152,8 +151,7 @@ int Usage() {
                "[-t THREADS] [--lookup-threads N] [--stats-interval SECS]\n"
                "               [--replication-history N] "
                "[--replication-max-queue N] [--follow HOST:PORT]\n"
-               "               [--query-cache-mb N] [--query-cache-off] "
-               "[--store-shards N]\n"
+               "               [--query-cache-mb N] [--store-shards N]\n"
                "  pqidx store  create|ingest|commit|lookup|ls|verify ...\n"
                "  pqidx workload [host:port] [--preset A|B|C] [--seed N] "
                "[--clients N] [--ops N]\n"
@@ -568,7 +566,6 @@ int CmdServe(std::vector<std::string> args) {
   int replication_history = defaults.replication_history;
   int replication_max_queue = defaults.replication_max_queue;
   int query_cache_mb = defaults.query_cache_mb;
-  bool query_cache_off = defaults.query_cache_off;
   int store_shards = 1;
   std::string follow;
   std::vector<std::string> rest;
@@ -590,8 +587,6 @@ int CmdServe(std::vector<std::string> args) {
       follow = args[++i];
     } else if (args[i] == "--query-cache-mb" && i + 1 < args.size()) {
       query_cache_mb = std::atoi(args[++i].c_str());
-    } else if (args[i] == "--query-cache-off") {
-      query_cache_off = true;
     } else if (args[i] == "--store-shards" && i + 1 < args.size()) {
       store_shards = std::atoi(args[++i].c_str());
     } else {
@@ -647,7 +642,6 @@ int CmdServe(std::vector<std::string> args) {
   options.replication_history = replication_history;
   options.replication_max_queue = replication_max_queue;
   options.query_cache_mb = query_cache_mb;
-  options.query_cache_off = query_cache_off;
   Server server(index->get(), options);
   if (Status s = server.Start(std::move(*listener)); !s.ok()) {
     return Fail(s);
